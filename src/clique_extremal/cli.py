@@ -375,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     paper = subs.add_parser("verify-paper", help="run the full verification suite")
     paper.add_argument("--seed", type=int, default=0)
     paper.add_argument("--quick", action="store_true")
-    paper.add_argument("--threads", type=int, default=1)
+    paper.add_argument(
+        "--threads", type=int, default=1, help="worker processes, at most one per check and per processor"
+    )
     paper.add_argument("--json", action="store_true")
     paper.add_argument("--csv", action="store_true")
     paper.set_defaults(handler=_cmd_verify_paper)

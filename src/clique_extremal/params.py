@@ -35,10 +35,6 @@ class ParamReport:
     sigma_upper: int
 
 
-class _Found(Exception):
-    pass
-
-
 def min_tset_missing(
     g: Graph,
     t: int,
@@ -48,55 +44,67 @@ def min_tset_missing(
     """Minimum number of missing edges over all t-subsets, with a witness.
 
     Branch and bound on the complement: vertices are tried in ascending
-    complement-degree order, a branch is cut once its partial missing count
-    plus a cheap completion bound cannot beat the incumbent. ``stop_at``
-    ends the search as soon as a subset with at most that many missing
-    edges is known (used by threshold queries).
+    complement-degree order, the first t of them give the starting
+    incumbent, and a depth-first search (include a vertex before excluding
+    it, on an explicit stack) cuts a branch once its partial missing count
+    plus a completion bound cannot beat the incumbent. With R the r
+    undecided vertices and s open slots, a vertex u in R has m_u
+    complement-neighbours among the chosen ones and d_R(u) in R. A
+    completion S of R with |S| = s leaves each u in S at least
+    s - r + d_R(u) complement-neighbours inside S, so it adds at least half
+    the sum of the s smallest keys 2 m_u + max(0, s - r + d_R(u)), rounded
+    up. The bound only cuts branches that hold no strictly better subset,
+    so the witness is the first optimal subset in search order. ``stop_at``
+    ends the search at the first subset found with at most that many
+    missing edges (used by threshold queries).
     """
     n = g.n
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t = {t}, n = {n}")
     check_guard("min_tset_missing", n, SUBSET_MAX_N, limit_n)
-    comp = tuple(g.complement().adjacency_mask(v) for v in range(n))
+    complement = g.complement()
+    comp = tuple(complement.adjacency_mask(v) for v in range(n))
     order = sorted(range(n), key=lambda v: (comp[v].bit_count(), v))
+    comp_sorted = [comp[v] for v in order]
+    undecided = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        undecided[i] = undecided[i + 1] | (1 << order[i])
 
     best_mask = 0
     best = 0
     for v in order[:t]:
         best += (comp[v] & best_mask).bit_count()
         best_mask |= 1 << v
-    state = [best, best_mask]
     if stop_at is not None and best <= stop_at:
         return best, frozenset(iter_bits(best_mask))
 
-    def completion_bound(i: int, chosen: int, slots: int) -> int:
-        if slots <= 0:
-            return 0
-        margins = sorted((comp[order[j]] & chosen).bit_count() for j in range(i, n))
-        return sum(margins[:slots])
-
-    def descend(i: int, k: int, cur: int, chosen: int) -> None:
-        if cur >= state[0]:
-            return
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, k, cur, chosen = stack.pop()
+        if cur >= best:
+            continue
         if k == t:
-            state[0] = cur
-            state[1] = chosen
+            best, best_mask = cur, chosen
             if stop_at is not None and cur <= stop_at:
-                raise _Found
-            return
-        if n - i < t - k:
-            return
-        if cur + completion_bound(i, chosen, t - k) >= state[0]:
-            return
+                break
+            continue
+        slots = t - k
+        slack = slots - (n - i)
+        if slack > 0:
+            continue
+        rest = undecided[i]
+        keys = []
+        for c in comp_sorted[i:]:
+            forced = slack + (c & rest).bit_count()
+            keys.append(2 * (c & chosen).bit_count() + (forced if forced > 0 else 0))
+        keys.sort()
+        if cur + (sum(keys[:slots]) + 1) // 2 >= best:
+            continue
         v = order[i]
-        descend(i + 1, k + 1, cur + (comp[v] & chosen).bit_count(), chosen | (1 << v))
-        descend(i + 1, k, cur, chosen)
-
-    try:
-        descend(0, 0, 0, 0)
-    except _Found:
-        pass
-    return state[0], frozenset(iter_bits(state[1]))
+        # the include branch goes on top, so it is searched first
+        stack.append((i + 1, k, cur, chosen))
+        stack.append((i + 1, k + 1, cur + (comp[v] & chosen).bit_count(), chosen | (1 << v)))
+    return best, frozenset(iter_bits(best_mask))
 
 
 def tset_missing_upper_estimate(g: Graph, t: int) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -36,7 +37,9 @@ from .embed import (
 from .graph import Graph
 from .params import delta_lower_bound, delta_threshold_no_subdivision, min_tset_missing, t_param
 
-__all__ = ["CheckResult", "SuiteReport", "run_suite", "report_to_json", "report_to_csv", "CHECKS"]
+__all__ = [
+    "CheckResult", "SuiteReport", "run_suite", "worker_count", "report_to_json", "report_to_csv", "CHECKS",
+]
 
 _DENSITIES = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -447,10 +450,20 @@ def _run_one(args: tuple[int, int, bool]) -> CheckResult:
     return CHECKS[index](seed, quick)
 
 
+def worker_count(threads: int) -> int:
+    """Workers for ``threads`` requested: at least one is required, and
+    more than one per check or per processor would only sit idle."""
+    if threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {threads}")
+    return min(threads, len(CHECKS), os.cpu_count() or 1)
+
+
 def run_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> SuiteReport:
-    """Run every check; with threads > 1 the independent checks run in a
-    process pool, reassembled in fixed order so output is unchanged."""
+    """Run every check; with more than one worker (see ``worker_count``) the
+    independent checks run in a process pool, reassembled in fixed order so
+    output is unchanged."""
     jobs = [(i, seed, quick) for i in range(len(CHECKS))]
+    threads = worker_count(threads)
     if threads > 1:
         with Pool(processes=threads) as pool:
             results = pool.map(_run_one, jobs)

@@ -1,9 +1,12 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from clique_extremal import matching_complement, save_graph, star_of_clique, write_edge_list
 from clique_extremal.cli import main
+from clique_extremal.suite import CHECKS, worker_count
 
 
 def run(capsys, *argv):
@@ -212,3 +215,33 @@ def test_verify_paper_csv(capsys):
     code, out, _ = run(capsys, "verify-paper", "--quick", "--csv")
     assert code == 0
     assert out.splitlines()[0] == "name,passed,summary"
+
+
+def test_verify_paper_quick_json_matches_capture(capsys):
+    # a committed seed-0 quick report: changes that keep behaviour must
+    # reproduce it byte for byte
+    expected = (Path(__file__).parent / "data" / "verify_paper_seed0_quick.json").read_text()
+    code, out, _ = run(capsys, "verify-paper", "--seed", "0", "--quick", "--json")
+    assert code == 0
+    assert out == expected
+
+
+def test_worker_count_bounds(monkeypatch):
+    with pytest.raises(ValueError):
+        worker_count(0)
+    with pytest.raises(ValueError):
+        worker_count(-3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert worker_count(1) == 1
+    assert worker_count(5) == 5
+    assert worker_count(10**9) == len(CHECKS)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert worker_count(10**9) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(8) == 1
+
+
+def test_threads_below_one_is_usage_error(capsys):
+    code, _, err = run(capsys, "verify-paper", "--quick", "--threads", "0")
+    assert code == 2
+    assert "--threads" in err

@@ -1,6 +1,10 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clique_extremal import (
     Graph,
@@ -39,6 +43,52 @@ def test_min_tset_missing_matches_brute_force():
         g = random_graph(seed % 9 + 3, (seed % 9 + 1) / 10.0, seed)
         for t in range(1, g.n + 1):
             assert min_tset_missing(g, t)[0] == brute_min_tset_missing(g, t)
+
+
+# (value, sorted witness) for every t of 60 seeded random graphs, n = 4..20,
+# with and without stop_at = n - t. ``params --json`` prints witnesses, so a
+# change to the search must reproduce them exactly.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "min_tset_missing_golden.json").read_text())
+
+
+def test_min_tset_missing_golden_values_and_witnesses():
+    assert len(GOLDEN) == 60
+    for row in GOLDEN:
+        g = random_graph(row["n"], row["p"], row["seed"])
+        for key, stop in (("free", False), ("stop_at_n_minus_t", True)):
+            got = []
+            for t in range(1, g.n + 1):
+                value, witness = min_tset_missing(g, t, stop_at=g.n - t if stop else None)
+                got.append([value, sorted(witness)])
+            assert got == row[key], (row["seed"], key)
+
+
+@st.composite
+def graph_and_t(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edge_list(n, [e for e, keep in zip(pairs, present) if keep])
+    return g, draw(st.integers(1, n)), draw(st.integers(0, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_t())
+def test_min_tset_missing_property_against_brute_force(case):
+    g, t, stop_at = case
+    exact = brute_min_tset_missing(g, t)
+    value, witness = min_tset_missing(g, t)
+    assert value == exact
+    assert len(witness) == t and g.missing_edges_within(witness) == value
+    value, witness = min_tset_missing(g, t, stop_at=stop_at)
+    assert len(witness) == t and g.missing_edges_within(witness) == value
+    assert value <= stop_at if exact <= stop_at else value == exact
+
+
+def test_min_tset_missing_deep_search_needs_no_recursion():
+    # 1200 vertices: a search recursing once per vertex would pass Python's
+    # default recursion limit
+    assert min_tset_missing(Graph.from_edge_list(1200, []), 2, limit_n=1200)[0] == 1
 
 
 def test_min_tset_missing_validates():
