@@ -62,6 +62,7 @@ from .params import (
     delta_threshold_no_subdivision,
     min_tset_missing,
     t_param,
+    t_param_lower_estimate,
     tset_missing_upper_estimate,
 )
 

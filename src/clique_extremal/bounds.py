@@ -153,16 +153,21 @@ def case2_exponent(c: float) -> float:
 # -- finite-parameter g bound ---------------------------------------------
 
 
-def _log_sum_prefix(upper: int) -> list[float]:
-    """Prefix sums of log2(h+1)/h for h = 1..upper."""
-    if upper > 5_000_000:
-        raise ValueError(f"delta = {upper} is beyond the evaluator's scale")
-    sums = [0.0] * (upper + 1)
-    acc = 0.0
-    for h in range(1, upper + 1):
-        acc += math.log2(h + 1.0) / h
-        sums[h] = acc
-    return sums
+# Largest ceil(delta) the g evaluator accepts; the table below grows to it.
+_MAX_DELTA = 5_000_000
+
+_log_ratio_prefix = [0.0, 1.0]  # prefix[h] = sum of log2(h'+1)/h' for h' = 1..h
+
+
+def _log_ratio_sum(lo: int, hi: int) -> float:
+    """Sum of log2(h+1)/h over lo <= h <= hi via a shared prefix table."""
+    if hi < lo:
+        return 0.0
+    prefix = _log_ratio_prefix
+    while len(prefix) <= hi:
+        h = len(prefix)
+        prefix.append(prefix[-1] + math.log2(h + 1.0) / h)
+    return prefix[hi] - prefix[lo - 1]
 
 
 def g_case_log2(m: int, x: int, t: int, big_d: int) -> tuple[float, float, str]:
@@ -179,9 +184,10 @@ def g_case_log2(m: int, x: int, t: int, big_d: int) -> tuple[float, float, str]:
         main = ((m - t) / big_d + 1.0) * math.log2(big_d + 1.0) + _boundt_log2(t, x, big_d)
         return main, 0.0, CASE_ABOVE
     ceil_delta = math.ceil(delta)
-    sums = _log_sum_prefix(ceil_delta)
+    if ceil_delta > _MAX_DELTA:
+        raise ValueError(f"delta = {ceil_delta} is beyond the evaluator's scale")
     t2_over_2x = t * t / (2.0 * x)
-    product = sums[ceil_delta] - sums[big_d]
+    product = _log_ratio_sum(big_d + 1, ceil_delta)
     main = (
         t2_over_2x * product
         + (t2_over_2x - t / big_d) * math.log2(big_d + 1.0)
@@ -339,20 +345,6 @@ def case2_supremum(c_max: float = 1000.0) -> BoundResult:
     if v1 > v0:
         c0, v0 = c1, v1
     return BoundResult(v0, v0, CASE_BELOW, c0, None)
-
-
-_log_ratio_prefix = [0.0, 1.0]  # prefix[h] = sum of log2(h'+1)/h' for h' = 1..h
-
-
-def _log_ratio_sum(lo: int, hi: int) -> float:
-    """Sum of log2(h+1)/h over lo <= h <= hi via a shared prefix table."""
-    if hi < lo:
-        return 0.0
-    prefix = _log_ratio_prefix
-    while len(prefix) <= hi:
-        h = len(prefix)
-        prefix.append(prefix[-1] + math.log2(h + 1.0) / h)
-    return prefix[hi] - prefix[lo - 1]
 
 
 def _refined_case2(c: float, big_d: int) -> float:

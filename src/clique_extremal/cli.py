@@ -37,12 +37,10 @@ from .embed import (
     verify_subdivision,
 )
 from .errors import FormatError, GuardExceeded, PreconditionViolation
-from .formats import load_graph, write_edge_list, write_graph6
+from .formats import _FORMATS, load_graph, write_edge_list, write_graph6
 from .limits import SIGMA_MAX_N, SUBSET_MAX_N, effective_guard
-from .params import min_tset_missing, t_param, tset_missing_upper_estimate
+from .params import min_tset_missing, t_param, t_param_lower_estimate, tset_missing_upper_estimate
 from .suite import report_to_csv, report_to_json, run_suite
-
-_FORMATS = ("edgelist", "graph6")
 
 
 def _parse_terminals(raw: str) -> list[int]:
@@ -148,7 +146,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
 def _cmd_params_approx(g, args: argparse.Namespace) -> int:
     """Averaging certificates only: an upper bound on the minimum missing
     count per t and hence a lower bound on the t parameter. Never exact."""
-    t_lower = max(t for t in range(1, g.n + 1) if tset_missing_upper_estimate(g, t) <= g.n - t)
+    t_lower = t_param_lower_estimate(g)
     data = {
         "n": g.n,
         "exact": False,

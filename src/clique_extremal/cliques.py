@@ -68,7 +68,7 @@ def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
     check_guard("count_cliques_oracle", g.n, ORACLE_MAX_N, limit_n)
     if g.n == 0:
         return CliqueStats(1, 0, 0)
-    comp = tuple(g.complement().adjacency_mask(v) for v in range(g.n))
+    comp = tuple(map(g.complement().adjacency_mask, range(g.n)))
     memo: dict[int, tuple[int, int]] = {}
 
     def component_of(seed: int, mask: int) -> int:

@@ -1,17 +1,19 @@
 """Graph serialization: edge-list text and graph6.
 
 Edge-list format: first line ``n m``, then m lines ``u v`` with 0-based
-whitespace-separated endpoints; lines starting with ``#`` are ignored.
+whitespace-separated endpoints; lines starting with ``#`` are ignored; n is
+capped by ``limits.MAX_PARSE_N``, checked before anything is allocated.
 
 graph6 is the standard ASCII encoding (6 bits per character, offset 63,
 N(n) size prefix, upper-triangle bits in column order). Reader and writer
-round-trip byte-exactly.
+round-trip byte-exactly. Both readers take time linear in the input.
 """
 
 from __future__ import annotations
 
 from .errors import FormatError
 from .graph import Graph
+from .limits import MAX_PARSE_N
 
 __all__ = [
     "read_edge_list",
@@ -23,6 +25,8 @@ __all__ = [
 ]
 
 _GRAPH6_HEADER = ">>graph6<<"
+# graph6 character -> its six bits, most significant first
+_SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
 
 
 def read_edge_list(text: str) -> Graph:
@@ -37,6 +41,8 @@ def read_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise FormatError(f"non-integer header {lines[0]!r}") from exc
+    if n > MAX_PARSE_N:
+        raise FormatError(f"header announces n = {n} vertices; edge lists are limited to n <= {MAX_PARSE_N}")
     if len(lines) - 1 != m:
         raise FormatError(f"header announces {m} edges but {len(lines) - 1} edge lines follow")
     edges = []
@@ -76,39 +82,27 @@ def _decode_size(s: str) -> tuple[int, int]:
         raise FormatError("empty graph6 string")
     if s[0] != "~":
         return ord(s[0]) - 63, 1
-    if len(s) >= 2 and s[1] != "~":
-        if len(s) < 4:
-            raise FormatError("truncated graph6 size prefix")
-        vals = [ord(c) - 63 for c in s[1:4]]
-        return (vals[0] << 12) | (vals[1] << 6) | vals[2], 4
-    if len(s) < 8:
+    start, used = (2, 8) if s[1:2] == "~" else (1, 4)
+    if len(s) < used:
         raise FormatError("truncated graph6 size prefix")
-    vals = [ord(c) - 63 for c in s[2:8]]
     n = 0
-    for v in vals:
-        n = n << 6 | v
-    return n, 8
+    for c in s[start:used]:
+        n = n << 6 | (ord(c) - 63)
+    return n, used
 
 
 def write_graph6(g: Graph) -> str:
-    n = g.n
-    out = [_encode_size(n)]
-    buf = 0
-    filled = 0
-    for j in range(1, n):
-        col = g.adjacency_mask(j)
-        for i in range(j):
-            buf = buf << 1 | (col >> i & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(63 + buf))
-                buf = filled = 0
-    if filled:
-        out.append(chr(63 + (buf << (6 - filled))))
-    return "".join(out)
+    head = _encode_size(g.n)
+    # column j: the pairs (i, j) for i = 0..j-1, i.e. row j's low bits, least first
+    bits = "".join(format(g.adjacency_mask(j) & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(63 + int(bits[k : k + 6], 2)) for k in range(0, len(bits), 6))
 
 
 def read_graph6(text: str) -> Graph:
+    """Linear in the body: column j of the bit string, padded to n, is row
+    j's low bits (least first); position j across the columns is its high
+    bits. Padding bits after the last pair are ignored."""
     s = text.strip()
     if s.startswith(_GRAPH6_HEADER):
         s = s[len(_GRAPH6_HEADER):]
@@ -119,37 +113,33 @@ def read_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise FormatError(f"graph6 body for n = {n} needs {need} characters, got {len(body)}")
-    bits = 0
-    for c in body:
-        v = ord(c) - 63
-        if not 0 <= v <= 63:
-            raise FormatError(f"invalid graph6 character {c!r}")
-        bits = bits << 6 | v
-    total = need * 6
-    rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits >> (total - 1 - pos) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-    return Graph(n, rows)
+    if body and (min(body) < "?" or max(body) > "~"):
+        bad = next(c for c in body if not "?" <= c <= "~")
+        raise FormatError(f"invalid graph6 character {bad!r}")
+    bits = body.translate(_SIX_BITS)
+    below = [bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n)]
+    above = ["".join(column) for column in zip(*below)]
+    return Graph(n, (int(lo[::-1], 2) | int(hi[::-1], 2) for lo, hi in zip(below, above)))
+
+
+# readers are called by name, not from a table, so that rebinding them works
+_FORMATS = ("edgelist", "graph6")
 
 
 def load_graph(path: str, fmt: str = "edgelist") -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    if fmt == "edgelist":
-        return read_edge_list(text)
-    if fmt == "graph6":
-        return read_graph6(text)
-    raise FormatError(f"unknown graph format {fmt!r}")
+    if fmt not in _FORMATS:
+        raise FormatError(f"unknown graph format {fmt!r}")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not ASCII text: {exc}") from exc
+    return read_edge_list(text) if fmt == "edgelist" else read_graph6(text)
 
 
 def save_graph(g: Graph, path: str, fmt: str = "edgelist") -> None:
-    text = write_edge_list(g) if fmt == "edgelist" else write_graph6(g) + "\n"
-    if fmt not in ("edgelist", "graph6"):
+    if fmt not in _FORMATS:
         raise FormatError(f"unknown graph format {fmt!r}")
+    text = write_edge_list(g) if fmt == "edgelist" else write_graph6(g) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)

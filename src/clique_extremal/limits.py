@@ -3,6 +3,9 @@
 Every exact search takes an optional ``limit_n`` argument; when it is left as
 None the default below applies, unless the CLIQUE_EXTREMAL_MAX_N environment
 variable overrides all defaults at once.
+
+``MAX_PARSE_N`` is no guard: it caps the vertex count an edge-list header may
+announce, before any allocation, and no option or variable changes it.
 """
 
 import os
@@ -13,6 +16,8 @@ ORACLE_MAX_N = 40
 SIGMA_MAX_N = 14
 IMMERSION_MAX_N = 12
 SUBSET_MAX_N = 24
+
+MAX_PARSE_N = 1_000_000
 
 _ENV_VAR = "CLIQUE_EXTREMAL_MAX_N"
 

@@ -18,6 +18,7 @@ __all__ = [
     "min_tset_missing",
     "tset_missing_upper_estimate",
     "t_param",
+    "t_param_lower_estimate",
     "delta_lower_bound",
     "delta_threshold_no_subdivision",
 ]
@@ -114,10 +115,11 @@ def tset_missing_upper_estimate(g: Graph, t: int) -> int:
     n = g.n
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t = {t}, n = {n}")
-    if n < 2 or t < 2:
-        return 0
-    total_missing = n * (n - 1) // 2 - g.num_edges
-    return total_missing * (t * (t - 1)) // (n * (n - 1))
+    return _averaging_estimate(n, n * (n - 1) // 2 - g.num_edges, t)
+
+
+def _averaging_estimate(n: int, total_missing: int, t: int) -> int:
+    return total_missing * (t * (t - 1)) // (n * (n - 1)) if t >= 2 else 0  # n >= t >= 2
 
 
 def t_param(g: Graph, limit_n: int | None = None) -> ParamReport:
@@ -133,6 +135,16 @@ def t_param(g: Graph, limit_n: int | None = None) -> ParamReport:
         if value <= n - t:
             return ParamReport(t, witness, delta, t - delta, t)
     raise AssertionError("unreachable: t = 1 always qualifies")
+
+
+def t_param_lower_estimate(g: Graph) -> int:
+    """Largest t whose ``tset_missing_upper_estimate`` is at most n - t: a
+    lower bound on t(G) from one edge count, with no size guard. Not exact."""
+    n = g.n
+    if n == 0:
+        raise ValueError("t_param is undefined on the empty graph")
+    total_missing = n * (n - 1) // 2 - g.num_edges
+    return next(t for t in range(n, 0, -1) if _averaging_estimate(n, total_missing, t) <= n - t)
 
 
 def delta_lower_bound(n: int, x: int, t: int) -> Fraction:

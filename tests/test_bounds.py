@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from clique_extremal import (
     optimize_constant,
     random_graph,
 )
+from clique_extremal import bounds
 from clique_extremal.bounds import LOG_SHIFT
 
 
@@ -155,6 +158,46 @@ def test_g_bound_huge_t_stays_finite():
 def test_g_bound_empty_d_range():
     with pytest.raises(ValueError, match="empty D range"):
         g_bound(40, 30, 10, 2)  # ceil(2x/t) = 6 > d = 2
+
+
+# Captured from the evaluator that rebuilt its log-sum table for every D:
+# the three base points of the benchmark's large-inputs recursion checks,
+# a small grid (None where the D range is empty) and one point with
+# delta = 10^4. Floats are stored as repr strings and compared exactly.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "g_bound_golden.json").read_text())
+
+
+def test_g_bound_golden():
+    for entry in GOLDEN["g_bound"]:
+        try:
+            r = g_bound(*entry["params"])
+        except ValueError:
+            got = None
+        else:
+            got = {
+                "log2_bound": repr(r.log2_bound),
+                "slack_log2": repr(r.slack_log2),
+                "d_value": r.d_value,
+                "case_tag": r.case_tag,
+            }
+        assert got == entry["result"], entry["params"]
+
+
+def test_g_recursion_check_golden():
+    for entry in GOLDEN["g_recursion_check"]:
+        check = g_recursion_check(*entry["params"])
+        assert {"passed": check.passed, "failures": list(check.failures)} == entry["result"], entry["params"]
+
+
+def test_g_bound_rejects_delta_beyond_scale_before_growing_the_table():
+    size = len(bounds._log_ratio_prefix)
+    # delta = 2 * 50 * 6_000_000 / 10^2 = 6_000_000 > 5_000_000
+    with pytest.raises(ValueError, match="beyond the evaluator's scale"):
+        g_bound(6_000_000, 50, 10, 10)
+    assert len(bounds._log_ratio_prefix) == size
+    check = g_recursion_check(6_000_000, 50, 10, 10)
+    assert not check.passed
+    assert "invalid" in check.failures[0]
 
 
 def test_g_recursion_check_at_spec_point():

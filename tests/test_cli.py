@@ -159,6 +159,19 @@ def test_params_approx_beyond_guard(capsys, tmp_path):
     assert "min_tset_missing_upper_bound" in data
 
 
+def test_params_approx_lower_bound_matches_brute_scan(capsys, tmp_path):
+    from clique_extremal import random_graph, tset_missing_upper_estimate
+
+    for k in range(1, 11):
+        g = random_graph(60, k / 10, k)
+        path = str(tmp_path / f"g{k}.el")
+        save_graph(g, path, "edgelist")
+        code, out, _ = run(capsys, "params", "--input", path, "--approx", "--json")
+        assert code == 0
+        scan = max(t for t in range(1, g.n + 1) if tset_missing_upper_estimate(g, t) <= g.n - t)
+        assert json.loads(out)["t_param_lower_bound"] == scan
+
+
 def test_guard_exceeded_exit_code(capsys, tmp_path):
     from clique_extremal import Graph
 

@@ -17,6 +17,7 @@ from clique_extremal import (
     sigma_exhaustive,
     star_of_clique,
     t_param,
+    t_param_lower_estimate,
     tset_missing_upper_estimate,
 )
 
@@ -106,6 +107,16 @@ def test_upper_estimate_bounds_the_minimum():
         g = random_graph(seed % 12 + 4, 0.5, seed)
         for t in range(2, g.n + 1):
             assert min_tset_missing(g, t)[0] <= tset_missing_upper_estimate(g, t)
+
+
+def test_t_param_lower_estimate_is_a_lower_bound():
+    for seed in range(20):
+        g = random_graph(seed % 9 + 1, (seed % 10 + 1) / 10.0, seed)
+        estimate = t_param_lower_estimate(g)
+        assert estimate == max(t for t in range(1, g.n + 1) if tset_missing_upper_estimate(g, t) <= g.n - t)
+        assert estimate <= brute_t_param(g)
+    with pytest.raises(ValueError):
+        t_param_lower_estimate(Graph(0, []))
 
 
 def test_t_param_spot_values():
