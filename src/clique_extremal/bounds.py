@@ -347,28 +347,43 @@ def case2_supremum(c_max: float = 1000.0) -> BoundResult:
     return BoundResult(v0, v0, CASE_BELOW, c0, None)
 
 
-def _refined_case2(c: float, big_d: int) -> float:
-    """Per-t limit of the exact product bound at n = ct, x = (c-1)t for an
-    integer D at most delta = 2c(c-1). Floors and ceilings that survive the
-    limit are kept; the per-t vanishing remainders are dropped."""
-    delta = 2.0 * c * (c - 1.0)
-    ceil_delta = math.ceil(delta)
-    inv2x = 1.0 / (2.0 * (c - 1.0))
-    term1 = (c - (ceil_delta - 1) * inv2x) / ceil_delta * math.log2(ceil_delta + 1.0)
-    term2 = inv2x * _log_ratio_sum(big_d + 1, ceil_delta - 1)
-    term3 = (inv2x - 1.0 / big_d) * math.log2(big_d + 1.0)
-    term4 = 1.0 - (c - 1.0) / big_d * (1.0 - math.log2(1.0 + 2.0 ** (-1.0 / big_d)))
-    return term1 + term2 + term3 + term4
+_per_d = [(0.0, 0.0)]  # [D] = (log2(D + 1), 1 - log2(1 + 2^(-1/D))), the second positive
 
 
 def _refined_best_at(c: float) -> tuple[float, int | None, str]:
-    delta = 2.0 * c * (c - 1.0)
-    lo = max(1, math.ceil(2.0 * (c - 1.0)))
-    hi = math.floor(delta)
+    """Best of the sparse branch and, for each integer D in [2(c-1), 2c(c-1)],
+    the per-t limit of the exact product bound at n = ct, x = (c-1)t, a sum
+    of term1 (the h = ceil(delta) factor), term2 = inv2x * s(D) (the factors
+    h = D+1..ceil(delta)-1; s(D) = P[ceil(delta)-1] - P[D], P the log-ratio
+    prefix table), term3 (the (D+1) power) and term4 (the degree-capped
+    clique bound). Floors and ceilings that survive the limit are kept; the
+    per-t vanishing remainders are dropped. At an integer delta the product
+    for D = delta is empty: that D has no term1 and no term2.
+
+    Tail cut: s(D) never increases with D, term3 <= inv2x * log2(hi + 1) and
+    term4 <= 1, so every D' >= D scores at most cap + inv2x * s(D), with 1e-9
+    in cap for rounding. Updates need v > best_v, so once that bound is
+    <= best_v no later D can change the value or the argmax.
+    """
     best_v, best_d = _case1_best_at(c)
     tag = CASE_ABOVE
+    delta = 2.0 * c * (c - 1.0)
+    ceil_delta = math.ceil(delta)
+    lo = max(1, math.ceil(2.0 * (c - 1.0)))
+    hi = math.floor(delta)
+    inv2x = 1.0 / (2.0 * (c - 1.0))
+    term1 = (c - (ceil_delta - 1) * inv2x) / ceil_delta * math.log2(ceil_delta + 1.0)
+    cap = term1 + inv2x * math.log2(hi + 1.0) + 1.0 + 1e-9
+    top, prefix, per_d = _log_ratio_sum(1, ceil_delta - 1), _log_ratio_prefix, _per_d
     for big_d in range(lo, hi + 1):
-        v = _refined_case2(c, big_d)
+        head, s = (term1, top - prefix[big_d]) if big_d < ceil_delta else (0.0, 0.0)
+        if cap + inv2x * s <= best_v:
+            break
+        while len(per_d) <= big_d:  # grown only as far as the cut lets a scan go
+            d = len(per_d)
+            per_d.append((math.log2(d + 1.0), 1.0 - math.log2(1.0 + 2.0 ** (-1.0 / d))))
+        log2_succ, ramp = per_d[big_d]
+        v = head + inv2x * s + (inv2x - 1.0 / big_d) * log2_succ + (1.0 - (c - 1.0) / big_d * ramp)
         if v > best_v:
             best_v, best_d, tag = v, big_d, CASE_REFINED
     return best_v, best_d, tag

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 verification failure or failed precondition,
-2 usage or input-format error, 3 size guard exceeded.
+2 usage or input-format error, 3 size guard exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -397,6 +397,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect (say a RecursionError): not a failed verification
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

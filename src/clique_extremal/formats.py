@@ -77,17 +77,22 @@ def _encode_size(n: int) -> str:
 
 
 def _decode_size(s: str) -> tuple[int, int]:
-    """Vertex count and the number of prefix characters consumed."""
+    """Vertex count and the number of prefix characters consumed. Only the
+    shortest form of each n is accepted, so every accepted input round-trips
+    byte-exactly."""
     if not s:
         raise FormatError("empty graph6 string")
-    if s[0] != "~":
-        return ord(s[0]) - 63, 1
-    start, used = (2, 8) if s[1:2] == "~" else (1, 4)
+    start, used = (0, 1) if s[0] != "~" else (2, 8) if s[1:2] == "~" else (1, 4)
     if len(s) < used:
         raise FormatError("truncated graph6 size prefix")
+    digits = s[start:used]
+    if min(digits) < "?" or max(digits) > "~":
+        raise FormatError(f"invalid graph6 size prefix {s[:used]!r}")
     n = 0
-    for c in s[start:used]:
+    for c in digits:
         n = n << 6 | (ord(c) - 63)
+    if _encode_size(n) != s[:used]:
+        raise FormatError(f"graph6 size prefix {s[:used]!r} is not the shortest form of n = {n}")
     return n, used
 
 
@@ -107,8 +112,6 @@ def read_graph6(text: str) -> Graph:
     if s.startswith(_GRAPH6_HEADER):
         s = s[len(_GRAPH6_HEADER):]
     n, used = _decode_size(s)
-    if n < 0:
-        raise FormatError("negative vertex count in graph6 prefix")
     body = s[used:]
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:

@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clique_extremal import (
     boundt_value,
@@ -225,6 +227,70 @@ def test_refined_constant_in_envelope():
     assert result.c_value > 1
     again = optimize_constant("refined")
     assert again == result  # deterministic
+
+
+def test_refined_constant_is_pinned():
+    # the result of the scan that evaluated every D in [2(c-1), 2c(c-1)]
+    result = optimize_constant("refined")
+    assert (result.log2_bound, result.c_value, result.d_value, result.case_tag) == (
+        1.815874628942467,
+        4.944097208657591,
+        10,
+        "refined-product",
+    )
+
+
+def reference_refined_case2(c, big_d):
+    """The earlier per-D formula, kept as the reference: it recomputes the
+    per-c terms for every D and adds term1 even when D = ceil(delta)."""
+    delta = 2.0 * c * (c - 1.0)
+    ceil_delta = math.ceil(delta)
+    inv2x = 1.0 / (2.0 * (c - 1.0))
+    term1 = (c - (ceil_delta - 1) * inv2x) / ceil_delta * math.log2(ceil_delta + 1.0)
+    term2 = inv2x * bounds._log_ratio_sum(big_d + 1, ceil_delta - 1)
+    term3 = (inv2x - 1.0 / big_d) * math.log2(big_d + 1.0)
+    term4 = 1.0 - (c - 1.0) / big_d * (1.0 - math.log2(1.0 + 2.0 ** (-1.0 / big_d)))
+    return term1 + term2 + term3 + term4
+
+
+def reference_refined_best_at(c):
+    """The earlier objective: every D in [2(c-1), 2c(c-1)], no tail cut."""
+    delta = 2.0 * c * (c - 1.0)
+    lo = max(1, math.ceil(2.0 * (c - 1.0)))
+    hi = math.floor(delta)
+    best_v, best_d = bounds._case1_best_at(c)
+    tag = "above-delta"
+    for big_d in range(lo, hi + 1):
+        v = reference_refined_case2(c, big_d)
+        if v > best_v:
+            best_v, best_d, tag = v, big_d, "refined-product"
+    return best_v, best_d, tag
+
+
+def test_refined_objective_matches_reference_on_the_first_grid():
+    # the 601 points of the first round of optimize_constant's grid; only
+    # c = 60 has an integer delta, and its D = delta value is not the best
+    lo, hi = 1.0 + 1e-6, 60.0
+    for i in range(601):
+        c = lo + (hi - lo) * i / 600
+        assert bounds._refined_best_at(c) == reference_refined_best_at(c), c
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=1.0 + 1e-6, max_value=60.0, exclude_min=True))
+def test_refined_objective_matches_reference(c):
+    delta = 2.0 * c * (c - 1.0)
+    assume(delta != math.ceil(delta))
+    assert bounds._refined_best_at(c) == reference_refined_best_at(c)
+
+
+def test_refined_objective_is_continuous_at_an_integer_delta():
+    # delta = 4 at c = 2: the product for D = 4 is empty, so it adds no
+    # h = ceil(delta) factor; the earlier formula jumped to 1.8408 here
+    at = bounds._refined_best_at(2.0)
+    below = bounds._refined_best_at(2.0 - 1e-9)
+    assert abs(at[0] - below[0]) <= 1e-6
+    assert at[0] < 1.8165
 
 
 def test_optimize_constant_validates_mode():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from clique_extremal import matching_complement, save_graph, star_of_clique, write_edge_list
+from clique_extremal import cli, matching_complement, save_graph, star_of_clique, write_edge_list
 from clique_extremal.cli import main
 from clique_extremal.suite import CHECKS, worker_count
 
@@ -237,6 +237,25 @@ def test_verify_paper_quick_json_matches_capture(capsys):
     code, out, _ = run(capsys, "verify-paper", "--seed", "0", "--quick", "--json")
     assert code == 0
     assert out == expected
+
+
+def test_verify_paper_full_json_matches_capture(capsys):
+    # the same at full size: every check, not only the quick ones
+    expected = (Path(__file__).parent / "data" / "verify_paper_seed0.json").read_text()
+    code, out, _ = run(capsys, "verify-paper", "--seed", "0", "--json")
+    assert code == 0
+    assert out == expected
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_bounds", broken)
+    code, out, err = run(capsys, "bounds", "--mode", "coarse")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
 def test_worker_count_bounds(monkeypatch):

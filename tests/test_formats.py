@@ -126,6 +126,26 @@ def test_graph6_errors():
         read_graph6("C\x1c~")  # character below the offset
 
 
+def test_graph6_size_prefix_is_range_checked_and_shortest(capsys, tmp_path):
+    body = write_graph6(random_graph(64, 0.5, 3))[4:]
+    assert read_graph6("~?@?" + body).n == 64
+    bad = [
+        chr(127) + body,  # a character above '~' (63 + 64)
+        "~?\x7f?" + body,  # the same inside the four-character form
+        "~?>?" + body,  # a character below '?'
+        "~??}" + write_graph6(Graph(62, [0] * 62))[1:],  # n = 62 fits one character
+        "~~????@?" + body,  # n = 64 fits four characters
+    ]
+    for text in bad:
+        with pytest.raises(FormatError, match="size prefix"):
+            read_graph6(text)
+    path = tmp_path / "bad.g6"
+    for text in bad[0], bad[4]:
+        path.write_text(text + "\n", encoding="ascii")
+        assert main(["count", "--input", str(path), "--format", "graph6"]) == 2
+        assert "size prefix" in capsys.readouterr().err
+
+
 def test_file_round_trip(tmp_path):
     g = random_graph(9, 0.6, 1)
     for fmt in ("edgelist", "graph6"):
