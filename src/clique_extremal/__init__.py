@@ -2,7 +2,6 @@
 parameters, and the clique-count bound engine, all at desk scale."""
 
 from .bounds import (
-    BoundParams,
     BoundResult,
     BoundtValue,
     RecursionCheck,
@@ -32,8 +31,7 @@ from .constructions import (
     star_of_clique,
 )
 from .embed import (
-    ImmersionCertificate,
-    SubdivisionCertificate,
+    Certificate,
     VerificationResult,
     certificate_dumps,
     certificate_from_dict,
@@ -55,7 +53,7 @@ from .formats import (
     write_edge_list,
     write_graph6,
 )
-from .graph import Graph, iter_bits, vertex_mask
+from .graph import Graph, iter_bits, reach, simple_paths, vertex_mask
 from .params import (
     ParamReport,
     delta_lower_bound,

@@ -16,12 +16,13 @@ large parameters. The headline numbers this module reproduces:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 __all__ = [
-    "BoundParams",
     "BoundResult",
     "BoundtValue",
     "RecursionCheck",
@@ -55,16 +56,6 @@ class BoundtValue(NamedTuple):
 
 
 @dataclass(frozen=True)
-class BoundParams:
-    m: int
-    x: int
-    t: int
-    d: int
-    c: float
-    delta: float
-
-
-@dataclass(frozen=True)
 class BoundResult:
     log2_bound: float
     per_t_exponent: float
@@ -72,7 +63,6 @@ class BoundResult:
     c_value: float
     d_value: int | None
     slack_log2: float = 0.0
-    params: BoundParams | None = None
 
 
 @dataclass(frozen=True)
@@ -156,7 +146,8 @@ def case2_exponent(c: float) -> float:
 # Largest ceil(delta) the g evaluator accepts; the table below grows to it.
 _MAX_DELTA = 5_000_000
 
-_log_ratio_prefix = [0.0, 1.0]  # prefix[h] = sum of log2(h'+1)/h' for h' = 1..h
+# prefix[h] = sum of log2(h'+1)/h' for h' = 1..h, 8 bytes an entry
+_log_ratio_prefix = array("d", [0.0, 1.0])
 
 
 def _log_ratio_sum(lo: int, hi: int) -> float:
@@ -164,9 +155,9 @@ def _log_ratio_sum(lo: int, hi: int) -> float:
     if hi < lo:
         return 0.0
     prefix = _log_ratio_prefix
-    while len(prefix) <= hi:
-        h = len(prefix)
-        prefix.append(prefix[-1] + math.log2(h + 1.0) / h)
+    if len(prefix) <= hi:  # in bulk: the popped last entry comes back first, then the new sums
+        terms = (math.log2(h + 1.0) / h for h in range(len(prefix), hi + 1))
+        prefix.extend(accumulate(terms, initial=prefix.pop()))
     return prefix[hi] - prefix[lo - 1]
 
 
@@ -212,8 +203,6 @@ def g_bound(m: int, x: int, t: int, d: int) -> BoundResult:
         if best is None or main > best[0]:
             best = (main, slack, tag, big_d)
     main, slack, tag, big_d = best
-    delta = 2.0 * x * m / (t * t)
-    params = BoundParams(m=m, x=x, t=t, d=d, c=m / t, delta=delta)
     return BoundResult(
         log2_bound=main,
         per_t_exponent=main / t,
@@ -221,7 +210,6 @@ def g_bound(m: int, x: int, t: int, d: int) -> BoundResult:
         c_value=m / t,
         d_value=big_d,
         slack_log2=slack,
-        params=params,
     )
 
 
@@ -324,6 +312,14 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 
     return mid, f(mid)
 
 
+def _maximize(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Grid zoom over [lo, hi], then golden section within 0.05 of its
+    argmax; the better of the two. Returns (argmax, max)."""
+    c0, v0 = _grid_zoom_max(f, lo, hi)
+    c1, v1 = _golden_max(f, max(lo, c0 - 0.05), min(hi, c0 + 0.05))
+    return (c1, v1) if v1 > v0 else (c0, v0)
+
+
 def case1_supremum(c_max: float = 1000.0) -> BoundResult:
     """sup over c > 1 of the sparse-branch exponent at its best admissible
     integer d; stays below 1.64."""
@@ -331,19 +327,13 @@ def case1_supremum(c_max: float = 1000.0) -> BoundResult:
     def objective(c: float) -> float:
         return _case1_best_at(c)[0]
 
-    c0, v0 = _grid_zoom_max(objective, 1.0 + 1e-6, c_max)
-    c1, v1 = _golden_max(objective, max(1.0 + 1e-6, c0 - 0.05), min(c_max, c0 + 0.05))
-    if v1 > v0:
-        c0, v0 = c1, v1
+    c0, v0 = _maximize(objective, 1.0 + 1e-6, c_max)
     return BoundResult(v0, v0, CASE_ABOVE, c0, _case1_best_at(c0)[1])
 
 
 def case2_supremum(c_max: float = 1000.0) -> BoundResult:
     """sup over c >= 3 of the dense-branch closed form; stays below 2.92."""
-    c0, v0 = _grid_zoom_max(case2_exponent, 3.0, c_max)
-    c1, v1 = _golden_max(case2_exponent, max(3.0, c0 - 0.05), min(c_max, c0 + 0.05))
-    if v1 > v0:
-        c0, v0 = c1, v1
+    c0, v0 = _maximize(case2_exponent, 3.0, c_max)
     return BoundResult(v0, v0, CASE_BELOW, c0, None)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, iter_bits
+from .graph import Graph, iter_bits, reach
 from .limits import ORACLE_MAX_N, check_guard
 
 __all__ = ["CliqueStats", "PeelingTrace", "count_cliques_oracle", "count_cliques_peeling", "peel_trace"]
@@ -71,17 +71,6 @@ def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
     comp = tuple(map(g.complement().adjacency_mask, range(g.n)))
     memo: dict[int, tuple[int, int]] = {}
 
-    def component_of(seed: int, mask: int) -> int:
-        comp_mask = seed
-        frontier = seed
-        while frontier:
-            grown = 0
-            for v in iter_bits(frontier):
-                grown |= comp[v] & mask
-            frontier = grown & ~comp_mask
-            comp_mask |= frontier
-        return comp_mask
-
     def solve(mask: int) -> tuple[int, int]:
         """(number of independent sets including the empty one, independence
         number) of the complement induced on ``mask``."""
@@ -100,7 +89,7 @@ def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
             k = mask.bit_count()
             result = (1 << k, k)
         else:
-            piece = component_of(1 << best_v, mask)
+            piece = reach(comp, 1 << best_v, mask)
             if piece != mask:
                 count_rest, alpha_rest = solve(mask & ~piece)
                 count_piece, alpha_piece = solve(piece)

@@ -12,15 +12,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import FormatError, PreconditionViolation
-from .graph import Graph, iter_bits, vertex_mask
+from .graph import Graph, iter_bits, reach, simple_paths, vertex_mask
 from .limits import IMMERSION_MAX_N, SIGMA_MAX_N, check_guard
 
 __all__ = [
-    "ImmersionCertificate",
-    "SubdivisionCertificate",
+    "Certificate",
     "VerificationResult",
     "immerse_dense",
     "subdivide_dense",
@@ -39,22 +38,14 @@ KIND_WEAK = "weak_immersion"
 KIND_SUBDIVISION = "subdivision"
 
 
-@dataclass
-class ImmersionCertificate:
+@dataclass(frozen=True)
+class Certificate:
+    """An embedding of a complete graph: its kind (one of the three above),
+    its end (branch) vertices, and the route of each terminal pair."""
+
+    kind: str
     terminals: frozenset[int]
     paths: dict[tuple[int, int], tuple[int, ...]]
-    kind: str = KIND_STRONG
-
-
-@dataclass
-class SubdivisionCertificate:
-    branch_vertices: frozenset[int]
-    paths: dict[tuple[int, int], tuple[int, ...]]
-    kind: str = KIND_SUBDIVISION
-
-    @property
-    def terminals(self) -> frozenset[int]:
-        return self.branch_vertices
 
 
 @dataclass(frozen=True)
@@ -69,7 +60,7 @@ class VerificationResult:
 # -- constructive embedders ---------------------------------------------------
 
 
-def immerse_dense(g: Graph, terminals: Iterable[int]) -> ImmersionCertificate:
+def immerse_dense(g: Graph, terminals: Iterable[int]) -> Certificate:
     """Strong immersion of a complete graph with the given end vertices,
     using only paths of length one or two.
 
@@ -106,10 +97,10 @@ def immerse_dense(g: Graph, terminals: Iterable[int]) -> ImmersionCertificate:
         avail[v] &= ~(1 << w)
         avail[w] &= ~(1 << v)
         paths[(u, v)] = (u, w, v)
-    return ImmersionCertificate(frozenset(t_set), paths, KIND_STRONG)
+    return Certificate(KIND_STRONG, frozenset(t_set), paths)
 
 
-def subdivide_dense(g: Graph, terminals: Iterable[int]) -> SubdivisionCertificate:
+def subdivide_dense(g: Graph, terminals: Iterable[int]) -> Certificate:
     """Subdivision of a complete graph with the given branch vertices, using
     only paths of length one or two.
 
@@ -143,13 +134,13 @@ def subdivide_dense(g: Graph, terminals: Iterable[int]) -> SubdivisionCertificat
         w = (candidates & -candidates).bit_length() - 1
         used |= 1 << w
         paths[(u, v)] = (u, w, v)
-    return SubdivisionCertificate(frozenset(t_set), paths, KIND_SUBDIVISION)
+    return Certificate(KIND_SUBDIVISION, frozenset(t_set), paths)
 
 
 # -- verifiers ----------------------------------------------------------------
 
 
-def _check_paths(g: Graph, cert, strong: bool) -> list[str]:
+def _check_paths(g: Graph, cert: Certificate, strong: bool) -> list[str]:
     violations: list[str] = []
     terminals = sorted(cert.terminals)
     for v in terminals:
@@ -197,7 +188,7 @@ def _check_paths(g: Graph, cert, strong: bool) -> list[str]:
     return violations
 
 
-def verify_immersion(g: Graph, cert, mode: str = "strong") -> VerificationResult:
+def verify_immersion(g: Graph, cert: Certificate, mode: str = "strong") -> VerificationResult:
     """Check all immersion certificate invariants; violations are reported,
     never raised. Accepts subdivision certificates as well (a subdivision is
     in particular a strong immersion)."""
@@ -207,7 +198,7 @@ def verify_immersion(g: Graph, cert, mode: str = "strong") -> VerificationResult
     return VerificationResult(not violations, tuple(violations))
 
 
-def verify_subdivision(g: Graph, cert) -> VerificationResult:
+def verify_subdivision(g: Graph, cert: Certificate) -> VerificationResult:
     """Strong immersion checks plus internal vertex disjointness."""
     violations = _check_paths(g, cert, strong=True)
     internal_owner: dict[int, tuple[int, int]] = {}
@@ -224,21 +215,6 @@ def verify_subdivision(g: Graph, cert) -> VerificationResult:
 
 
 # -- exhaustive searches ------------------------------------------------------
-
-
-def _reachable(adj: tuple[int, ...], u: int, v: int, pool: int) -> bool:
-    allowed = pool | (1 << v)
-    reached = 1 << u
-    frontier = 1 << u
-    while frontier:
-        grown = 0
-        for w in iter_bits(frontier):
-            grown |= adj[w]
-        frontier = grown & allowed & ~reached
-        if frontier >> v & 1:
-            return True
-        reached |= frontier
-    return False
 
 
 def _match_length_two(adj: tuple[int, ...], pairs: list[tuple[int, int]], pool: int) -> bool:
@@ -259,30 +235,11 @@ def _match_length_two(adj: tuple[int, ...], pairs: list[tuple[int, int]], pool: 
     return all(assign(i, [0]) for i in range(len(pairs)))
 
 
-def _internal_sets(adj: tuple[int, ...], u: int, v: int, avail: int) -> Iterator[int]:
-    """Masks of internal vertex sets of simple u-v paths with internals
-    drawn from ``avail``, by increasing path length, each set once."""
-    limit = avail.bit_count()
-    for k in range(1, limit + 1):
-        seen: set[int] = set()
-
-        def walk(cur: int, used: int, remaining: int) -> Iterator[int]:
-            if remaining == 0:
-                if adj[cur] >> v & 1 and used not in seen:
-                    seen.add(used)
-                    yield used
-                return
-            for w in iter_bits(adj[cur] & avail & ~used):
-                yield from walk(w, used | (1 << w), remaining - 1)
-
-        yield from walk(u, 0, k)
-
-
 def _route_internally_disjoint(
     adj: tuple[int, ...], missing: list[tuple[int, int]], pool: int
 ) -> bool:
     for u, v in missing:
-        if not _reachable(adj, u, v, pool):
+        if not reach(adj, 1 << u, pool | 1 << v) >> v & 1:
             return False
     if _match_length_two(adj, missing, pool):
         return True
@@ -296,9 +253,12 @@ def _route_internally_disjoint(
         if key in dead:
             return False
         u, v = order[idx]
-        for used in _internal_sets(adj, u, v, avail):
-            if assign(idx + 1, avail & ~used):
-                return True
+        seen: set[int] = set()  # internal sets already tried for this pair
+        for used, _ in simple_paths(adj, u, v, avail):
+            if used not in seen:
+                seen.add(used)
+                if assign(idx + 1, avail & ~used):
+                    return True
         dead.add(key)
         return False
 
@@ -362,8 +322,7 @@ def has_immersion_with_ends(
     t_mask = vertex_mask(t_set, g.n)
     if len(t_set) <= 1:
         return True
-    n = g.n
-    avail = [g.adjacency_mask(v) for v in range(n)]
+    avail = [g.adjacency_mask(v) for v in range(g.n)]
     missing: list[tuple[int, int]] = []
     for u, v in combinations(t_set, 2):
         if g.has_edge(u, v):
@@ -374,20 +333,6 @@ def has_immersion_with_ends(
     if not missing:
         return True
     internal_ok = g.full_mask & ~t_mask if strong else g.full_mask
-
-    def edge_paths(u: int, v: int) -> Iterator[tuple[int, ...]]:
-        allowed = internal_ok & ~(1 << u) & ~(1 << v)
-        for k in range(1, n - 1):
-
-            def walk(cur: int, used: int, route: tuple[int, ...], remaining: int) -> Iterator[tuple[int, ...]]:
-                if remaining == 0:
-                    if avail[cur] >> v & 1:
-                        yield route + (v,)
-                    return
-                for w in iter_bits(avail[cur] & allowed & ~used):
-                    yield from walk(w, used | (1 << w), route + (w,), remaining - 1)
-
-            yield from walk(u, 1 << u, (u,), k)
 
     def consume(route: tuple[int, ...]) -> None:
         for a, b in zip(route, route[1:]):
@@ -403,7 +348,7 @@ def has_immersion_with_ends(
         if idx == len(missing):
             return True
         u, v = missing[idx]
-        for route in edge_paths(u, v):
+        for _, route in simple_paths(avail, u, v, internal_ok):
             consume(route)
             if pack(idx + 1):
                 return True
@@ -416,7 +361,7 @@ def has_immersion_with_ends(
 # -- serialization ------------------------------------------------------------
 
 
-def certificate_to_dict(cert) -> dict:
+def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "kind": cert.kind,
         "terminals": sorted(cert.terminals),
@@ -427,7 +372,7 @@ def certificate_to_dict(cert) -> dict:
     }
 
 
-def certificate_from_dict(data: dict):
+def certificate_from_dict(data: dict) -> Certificate:
     try:
         kind = data["kind"]
         terminals = frozenset(int(v) for v in data["terminals"])
@@ -440,18 +385,16 @@ def certificate_from_dict(data: dict):
             paths[pair] = tuple(int(x) for x in entry["route"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed certificate: {exc}") from exc
-    if kind == KIND_SUBDIVISION:
-        return SubdivisionCertificate(terminals, paths)
-    if kind in (KIND_STRONG, KIND_WEAK):
-        return ImmersionCertificate(terminals, paths, kind)
-    raise FormatError(f"unknown certificate kind {kind!r}")
+    if kind not in (KIND_STRONG, KIND_WEAK, KIND_SUBDIVISION):
+        raise FormatError(f"unknown certificate kind {kind!r}")
+    return Certificate(kind, terminals, paths)
 
 
-def certificate_dumps(cert) -> str:
+def certificate_dumps(cert: Certificate) -> str:
     return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
 
 
-def certificate_loads(text: str):
+def certificate_loads(text: str) -> Certificate:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -8,9 +8,9 @@ vertices carry a residual mask instead.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
-__all__ = ["Graph", "vertex_mask", "iter_bits"]
+__all__ = ["Graph", "vertex_mask", "iter_bits", "reach", "simple_paths"]
 
 
 def vertex_mask(vertices: Iterable[int], n: int) -> int:
@@ -29,6 +29,49 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def reach(adj: Sequence[int], seed: int, allowed: int) -> int:
+    """The ``seed`` mask plus every vertex of ``allowed`` that a path
+    through ``allowed`` joins to it."""
+    reached = frontier = seed
+    while frontier:
+        grown = 0
+        for w in iter_bits(frontier):
+            grown |= adj[w]
+        frontier = grown & allowed & ~reached
+        reached |= frontier
+    return reached
+
+
+def simple_paths(adj: Sequence[int], u: int, v: int, allowed: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(internal mask, route) of every simple u-v path with at least one
+    internal vertex, all of them in ``allowed``: by number of internal
+    vertices, then by ascending vertices along the route.
+
+    Runs on an explicit stack and indexes ``adj`` only while it runs, so a
+    caller may change ``adj`` while the generator is suspended as long as
+    it restores it before resuming.
+    """
+    allowed &= ~(1 << u | 1 << v)
+    for k in range(1, allowed.bit_count() + 1):
+        route, used = [u], 0
+        stack = [adj[u] & allowed]  # stack[i]: untried next vertices after route[i]
+        while stack:
+            cands = stack[-1]
+            if not cands:
+                stack.pop()
+                used &= ~(1 << route.pop())
+                continue
+            low = cands & -cands
+            stack[-1] = cands ^ low
+            w = low.bit_length() - 1
+            if len(stack) < k:
+                route.append(w)
+                used |= low
+                stack.append(adj[w] & allowed & ~used)
+            elif adj[w] >> v & 1:
+                yield used | low, (*route, w, v)
 
 
 class Graph:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -136,7 +137,7 @@ def test_g_bound_structure():
     assert result.log2_bound > 0
     assert result.per_t_exponent == result.log2_bound / 10
     assert result.d_value in range(2, 9)
-    assert result.params.c == 4.0
+    assert result.c_value == 4.0
     # slack is reported separately, never folded in
     main, slack, _ = g_case_log2(40, 10, 10, result.d_value)
     assert math.isclose(result.log2_bound, main, abs_tol=1e-12)
@@ -200,6 +201,26 @@ def test_g_bound_rejects_delta_beyond_scale_before_growing_the_table():
     check = g_recursion_check(6_000_000, 50, 10, 10)
     assert not check.passed
     assert "invalid" in check.failures[0]
+
+
+def test_log_ratio_table_costs_eight_bytes_an_entry(monkeypatch):
+    # a fresh table of the module's own kind, cut back to its first entries
+    monkeypatch.setattr(bounds, "_log_ratio_prefix", bounds._log_ratio_prefix[:2])
+    entries = 300_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        total = bounds._log_ratio_sum(1, entries)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown <= 9 * entries
+    # the bulk growth adds the terms in the same order as one running sum
+    reference = [0.0, 1.0]
+    for h in range(2, entries + 1):
+        reference.append(reference[-1] + math.log2(h + 1.0) / h)
+    assert list(bounds._log_ratio_prefix) == reference
+    assert total == reference[entries]
 
 
 def test_g_recursion_check_at_spec_point():

@@ -6,6 +6,7 @@ from clique_extremal import (
     immersion_tightness,
     matching_complement,
     random_graph,
+    sigma_exhaustive,
     star_of_clique,
 )
 from clique_extremal.constructions import _matching_block_size
@@ -130,3 +131,14 @@ def test_generators_satisfy_graph_invariants():
             assert g.degree(v) + g.missing_degree(v) == g.n - 1
             for w in range(g.n):
                 assert g.has_edge(v, w) == g.has_edge(w, v)
+
+
+def test_union_blocks_contain_no_clique_subdivision():
+    # sigma(MC(b)) for b = 2, 4, ..., 14 is 1, 3, 4, 6, 7, 9, 10, so the
+    # block rule of disjoint_union_matching_complements holds for t <= 11
+    # and the next even size already holds a subdivision for t <= 10
+    for t in range(2, 12):
+        block = _matching_block_size(t)
+        assert sigma_exhaustive(matching_complement(block)) < t, t
+        if t <= 10:
+            assert sigma_exhaustive(matching_complement(block + 2)) >= t, t

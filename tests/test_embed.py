@@ -1,12 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clique_extremal import (
+    Certificate,
     FormatError,
     Graph,
     GuardExceeded,
-    ImmersionCertificate,
     PreconditionViolation,
     certificate_dumps,
     certificate_from_dict,
@@ -95,7 +98,8 @@ def test_subdivide_dense_rejects_with_instantiated_inequality():
 
 def test_verifier_reports_shared_edge():
     g = complete_graph(4)
-    cert = ImmersionCertificate(
+    cert = Certificate(
+        "strong_immersion",
         frozenset([0, 1, 2]),
         {(0, 1): (0, 3, 1), (0, 2): (0, 3, 2), (1, 2): (1, 3, 2)},
     )
@@ -110,7 +114,8 @@ def test_verifier_strong_vs_weak_internal_terminal():
     # the (0, 1) route passes through terminal 2 on fresh edges, so only
     # the strong check objects
     g = complete_graph(5)
-    cert = ImmersionCertificate(
+    cert = Certificate(
+        "strong_immersion",
         frozenset([0, 1, 2]),
         {(0, 1): (0, 4, 2, 3, 1), (0, 2): (0, 2), (1, 2): (1, 2)},
     )
@@ -122,7 +127,7 @@ def test_verifier_strong_vs_weak_internal_terminal():
 
 def test_verifier_missing_and_foreign_pairs():
     g = complete_graph(4)
-    cert = ImmersionCertificate(frozenset([0, 1, 2]), {(0, 3): (0, 3)})
+    cert = Certificate("strong_immersion", frozenset([0, 1, 2]), {(0, 3): (0, 3)})
     result = verify_immersion(g, cert, "weak")
     assert not result
     assert any("not a terminal pair" in v for v in result.violations)
@@ -131,12 +136,12 @@ def test_verifier_missing_and_foreign_pairs():
 
 def test_verifier_rejects_broken_routes():
     g = cycle_graph(5)
-    bad_endpoint = ImmersionCertificate(frozenset([0, 1]), {(0, 1): (0, 2)})
+    bad_endpoint = Certificate("strong_immersion", frozenset([0, 1]), {(0, 1): (0, 2)})
     assert not verify_immersion(g, bad_endpoint, "weak")
-    non_edge = ImmersionCertificate(frozenset([0, 2]), {(0, 2): (0, 2)})
+    non_edge = Certificate("strong_immersion", frozenset([0, 2]), {(0, 2): (0, 2)})
     result = verify_immersion(g, non_edge, "weak")
     assert any("non-edge" in v for v in result.violations)
-    repeated = ImmersionCertificate(frozenset([0, 2]), {(0, 2): (0, 1, 0, 1, 2)})
+    repeated = Certificate("strong_immersion", frozenset([0, 2]), {(0, 2): (0, 1, 0, 1, 2)})
     assert not verify_immersion(g, repeated, "weak")
 
 
@@ -152,14 +157,101 @@ def test_verify_subdivision_rejects_shared_internal():
     cert = subdivide_dense(g, [0, 1, 2, 3])
     tampered = dict(cert.paths)
     tampered[(2, 3)] = (2, 4, 3)  # reuse internal vertex 4 from the (0,1) route
-    from clique_extremal import SubdivisionCertificate
-
-    bad = SubdivisionCertificate(cert.branch_vertices, tampered)
+    bad = Certificate("subdivision", cert.terminals, tampered)
     result = verify_subdivision(g, bad)
     assert not result
     assert any("internal vertex 4" in v for v in result.violations)
     # as a plain strong immersion the tampered routes are still edge-disjoint
     assert verify_immersion(g, bad, "strong")
+
+
+# -- verifiers against corrupted certificates ---------------------------------
+
+
+@st.composite
+def dense_certificates(draw):
+    """A certificate from one of the two embedders on a random dense graph
+    whose first two terminals are not adjacent, so some route has an
+    internal vertex and the graph has a non-edge."""
+    n = draw(st.integers(8, 14))
+    g = random_graph(n, draw(st.sampled_from([0.85, 0.9, 0.95])), draw(st.integers(0, 2 ** 32 - 1)))
+    terminals = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=5, unique=True))
+    u, v = sorted(terminals[:2])
+    g = Graph.from_edge_list(n, [e for e in g.edges() if e != (u, v)])
+    embed = draw(st.sampled_from([immerse_dense, subdivide_dense]))
+    try:
+        cert = embed(g, terminals)
+    except PreconditionViolation:
+        assume(False)
+    return g, cert
+
+
+def _verdicts(g, cert, modes):
+    """Verification results in the given modes; subdivision mode only for a
+    subdivision certificate, the one kind that should pass it."""
+    modes = [m for m in modes if m != "subdivision" or cert.kind == "subdivision"]
+    return [verify_subdivision(g, cert) if m == "subdivision" else verify_immersion(g, cert, m) for m in modes]
+
+
+def _check_rejected(g, cert, mutant, message, modes=("weak", "strong", "subdivision")):
+    assert all(_verdicts(g, cert, modes))
+    for result in _verdicts(g, mutant, modes):
+        assert not result
+        assert any(message in violation for violation in result.violations), result.violations
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_certificates(), st.data())
+def test_verifiers_reject_a_dropped_path(instance, data):
+    g, cert = instance
+    pair = data.draw(st.sampled_from(sorted(cert.paths)))
+    paths = {p: route for p, route in cert.paths.items() if p != pair}
+    _check_rejected(g, cert, replace(cert, paths=paths), f"no path for terminal pair {pair}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_certificates(), st.data())
+def test_verifiers_reject_a_pair_repeated_under_its_reversed_key(instance, data):
+    g, cert = instance
+    u, v = data.draw(st.sampled_from(sorted(cert.paths)))
+    paths = {**cert.paths, (v, u): cert.paths[(u, v)][::-1]}
+    _check_rejected(g, cert, replace(cert, paths=paths), f"duplicate path for pair {(u, v)}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_certificates(), st.data())
+def test_verifiers_reject_a_route_over_a_non_edge(instance, data):
+    g, cert = instance
+    u, v = data.draw(st.sampled_from(sorted(cert.paths)))
+    non_edges = [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b)]
+    a, b = data.draw(st.sampled_from(non_edges))
+    # whichever of a, b is not an end sits next to the end it would equal,
+    # so a and b are consecutive on the route
+    route = (u, *(x for x in (a, b) if x not in (u, v)), v)
+    paths = {**cert.paths, (u, v): route}
+    _check_rejected(g, cert, replace(cert, paths=paths), "non-edge")
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_certificates(), st.data())
+def test_verifiers_reject_a_terminal_inside_a_route(instance, data):
+    g, cert = instance
+    u, v = data.draw(st.sampled_from(sorted(cert.paths)))
+    w = data.draw(st.sampled_from(sorted(cert.terminals - {u, v})))
+    paths = {**cert.paths, (u, v): (u, w, v)}
+    _check_rejected(g, cert, replace(cert, paths=paths), "passes through terminals", modes=("strong", "subdivision"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_certificates(), st.data())
+def test_verify_subdivision_rejects_a_reused_internal_vertex(instance, data):
+    g, cert = instance
+    assume(cert.kind == "subdivision")
+    owner = data.draw(st.sampled_from(sorted(p for p, route in cert.paths.items() if len(route) > 2)))
+    x = cert.paths[owner][1]
+    u, v = data.draw(st.sampled_from(sorted(set(cert.paths) - {owner})))
+    paths = {**cert.paths, (u, v): (u, x, v)}
+    _check_rejected(g, cert, replace(cert, paths=paths), f"internal vertex {x} shared by", modes=("subdivision",))
 
 
 # -- exhaustive searches -------------------------------------------------------
@@ -215,6 +307,14 @@ def test_has_immersion_with_ends_dense_graph():
     assert has_immersion_with_ends(g, [0, 1, 2, 3], strong=True)
 
 
+def test_has_immersion_with_ends_on_a_deep_path():
+    # the only route has 1,098 internal vertices; a recursive path walk
+    # would exceed the interpreter's recursion limit
+    n = 1100
+    g = Graph.from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
+    assert has_immersion_with_ends(g, [0, n - 1], limit_n=n)
+
+
 def test_has_immersion_with_ends_degenerate_and_guard():
     assert has_immersion_with_ends(complete_graph(3), [2])
     assert has_immersion_with_ends(complete_graph(3), [])
@@ -267,7 +367,7 @@ def test_certificate_json_round_trip():
     assert data["terminals"] == [0, 1, 2, 3]
     back = certificate_from_dict(data)
     assert back.paths == cert.paths
-    assert back.branch_vertices == cert.branch_vertices
+    assert back.terminals == cert.terminals
     assert verify_subdivision(mc8, certificate_loads(certificate_dumps(cert)))
 
 

@@ -1,6 +1,10 @@
+import random
+
+import networkx as nx
 import pytest
 
 from clique_extremal import Graph, immersion_tightness, matching_complement, random_graph, star_of_clique
+from clique_extremal.graph import reach, simple_paths, vertex_mask
 
 from conftest import complete_graph, cycle_graph
 
@@ -126,3 +130,70 @@ def test_missing_edges_within():
 def test_edges_iteration_sorted():
     g = Graph.from_edge_list(4, [(2, 3), (0, 3), (0, 1)])
     assert list(g.edges()) == [(0, 1), (0, 3), (2, 3)]
+
+
+# -- shared bitset walks -------------------------------------------------------
+
+
+def _nx_graph(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _adj(g: Graph) -> tuple[int, ...]:
+    return tuple(g.adjacency_mask(v) for v in range(g.n))
+
+
+def test_reach_matches_networkx_components():
+    for k in range(80):
+        rng = random.Random(f"reach:{k}")
+        n = rng.randint(1, 12)
+        g = random_graph(n, rng.uniform(0.05, 0.6), rng.randrange(2 ** 32))
+        seed = [v for v in range(n) if rng.random() < 0.2] or [rng.randrange(n)]
+        allowed = [v for v in range(n) if rng.random() < 0.6]
+        # every seed vertex expands, so the closure is what the seeds reach
+        # in the graph induced on allowed plus seed
+        h = _nx_graph(g).subgraph(set(allowed) | set(seed))
+        expected = set().union(*(nx.node_connected_component(h, s) for s in seed))
+        got = reach(_adj(g), vertex_mask(seed, n), vertex_mask(allowed, n))
+        assert got == vertex_mask(expected, n), (k, seed, allowed)
+
+
+def test_simple_paths_matches_networkx_in_order():
+    for k in range(80):
+        rng = random.Random(f"simple-paths:{k}")
+        n = rng.randint(2, 9)
+        g = random_graph(n, rng.uniform(0.2, 0.9), rng.randrange(2 ** 32))
+        u, v = rng.sample(range(n), 2)
+        allowed = [w for w in range(n) if rng.random() < 0.8]
+        h = _nx_graph(g).subgraph(set(allowed) | {u, v})
+        routes = sorted(
+            (len(p), tuple(p)) for p in nx.all_simple_paths(h, u, v) if len(p) > 2
+        )
+        expected = [(vertex_mask(route[1:-1], n), route) for _, route in routes]
+        assert list(simple_paths(_adj(g), u, v, vertex_mask(allowed, n))) == expected, k
+
+
+def test_simple_paths_ignores_ends_in_allowed_and_direct_edge():
+    g = complete_graph(4)
+    paths = list(simple_paths(_adj(g), 0, 3, g.full_mask))
+    assert paths == [
+        (0b0010, (0, 1, 3)),
+        (0b0100, (0, 2, 3)),
+        (0b0110, (0, 1, 2, 3)),
+        (0b0110, (0, 2, 1, 3)),
+    ]
+
+
+def test_simple_paths_reads_adjacency_lazily():
+    # path 0-1-2 plus a vertex 3 that is joined in only after the first route
+    adj = [0b0010, 0b0101, 0b0010, 0b0000]
+    walk = simple_paths(adj, 0, 2, 0b1111)
+    assert next(walk) == (0b0010, (0, 1, 2))
+    adj[1] |= 0b1000
+    adj[2] |= 0b1000
+    adj[3] |= 0b0110
+    assert list(walk) == [(0b1010, (0, 1, 3, 2))]
+
