@@ -293,33 +293,6 @@ def _grid_zoom_max(
     return best_c, best_v
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    mid = (a + b) / 2.0
-    return mid, f(mid)
-
-
-def _maximize(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Grid zoom over [lo, hi], then golden section within 0.05 of its
-    argmax; the better of the two. Returns (argmax, max)."""
-    c0, v0 = _grid_zoom_max(f, lo, hi)
-    c1, v1 = _golden_max(f, max(lo, c0 - 0.05), min(hi, c0 + 0.05))
-    return (c1, v1) if v1 > v0 else (c0, v0)
-
-
 def case1_supremum(c_max: float = 1000.0) -> BoundResult:
     """sup over c > 1 of the sparse-branch exponent at its best admissible
     integer d; stays below 1.64."""
@@ -327,13 +300,13 @@ def case1_supremum(c_max: float = 1000.0) -> BoundResult:
     def objective(c: float) -> float:
         return _case1_best_at(c)[0]
 
-    c0, v0 = _maximize(objective, 1.0 + 1e-6, c_max)
+    c0, v0 = _grid_zoom_max(objective, 1.0 + 1e-6, c_max)
     return BoundResult(v0, v0, CASE_ABOVE, c0, _case1_best_at(c0)[1])
 
 
 def case2_supremum(c_max: float = 1000.0) -> BoundResult:
     """sup over c >= 3 of the dense-branch closed form; stays below 2.92."""
-    c0, v0 = _maximize(case2_exponent, 3.0, c_max)
+    c0, v0 = _grid_zoom_max(case2_exponent, 3.0, c_max)
     return BoundResult(v0, v0, CASE_BELOW, c0, None)
 
 
@@ -402,8 +375,7 @@ def optimize_constant(mode: str = "coarse") -> BoundResult:
 
     refined: maximizes the exact product bound over real c > 1 and integer
     D, excluding the trivial branch; reports the achieved constant and its
-    maximizer (c, D). Deterministic grid-plus-golden-section search with
-    tolerance 1e-6 on the exponent.
+    maximizer (c, D). Deterministic grid-zoom search (``_grid_zoom_max``).
     """
     if mode == "coarse":
         sup1 = case1_supremum()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bounds import (
@@ -230,6 +231,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     mode = args.mode
+    if args.c is not None and not math.isfinite(2 * args.c * (args.c - 1)):
+        raise ValueError(f"--c {args.c} gives a non-finite delta = 2c(c - 1)")
     if mode == "boundt":
         if args.params is None:
             raise ValueError("--params t,x,D is required for boundt")

@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import FormatError, PreconditionViolation
-from .graph import Graph, iter_bits, reach, simple_paths, vertex_mask
+from .graph import Graph, reach, simple_paths, vertex_mask
 from .limits import IMMERSION_MAX_N, SIGMA_MAX_N, check_guard
 
 __all__ = [
@@ -217,52 +217,29 @@ def verify_subdivision(g: Graph, cert: Certificate) -> VerificationResult:
 # -- exhaustive searches ------------------------------------------------------
 
 
-def _match_length_two(adj: tuple[int, ...], pairs: list[tuple[int, int]], pool: int) -> bool:
-    """Can every pair take a distinct common neighbour from the pool?"""
-    cands = [adj[u] & adj[v] & pool for u, v in pairs]
-    matched: dict[int, int] = {}
+def _pack(pairs: list[tuple[int, int]], state: Hashable, routes: Callable) -> bool:
+    """Can each pair in turn take a route? ``routes(state, pair)`` yields the
+    state that each route of ``pair`` leaves behind.
 
-    def assign(i: int, banned: list[int]) -> bool:
-        free = cands[i] & ~banned[0]
-        for w in iter_bits(free):
-            banned[0] |= 1 << w
-            j = matched.get(w)
-            if j is None or assign(j, banned):
-                matched[w] = i
-                return True
-        return False
-
-    return all(assign(i, [0]) for i in range(len(pairs)))
-
-
-def _route_internally_disjoint(
-    adj: tuple[int, ...], missing: list[tuple[int, int]], pool: int
-) -> bool:
-    for u, v in missing:
-        if not reach(adj, 1 << u, pool | 1 << v) >> v & 1:
-            return False
-    if _match_length_two(adj, missing, pool):
+    Depth-first on an explicit stack. A (depth, state) whose search failed
+    is recorded and never searched again, so each distinct child state is
+    also tried at most once per node.
+    """
+    if not pairs:
         return True
-    order = sorted(missing, key=lambda p: ((adj[p[0]] & adj[p[1]] & pool).bit_count(), p))
-    dead: set[tuple[int, int]] = set()
-
-    def assign(idx: int, avail: int) -> bool:
-        if idx == len(order):
-            return True
-        key = (idx, avail)
-        if key in dead:
-            return False
-        u, v = order[idx]
-        seen: set[int] = set()  # internal sets already tried for this pair
-        for used, _ in simple_paths(adj, u, v, avail):
-            if used not in seen:
-                seen.add(used)
-                if assign(idx + 1, avail & ~used):
+    dead: set[tuple[int, Hashable]] = set()
+    stack = [(state, routes(state, pairs[0]))]
+    while stack:
+        depth = len(stack)  # pairs routed in each child of the top node
+        for child in stack[-1][1]:
+            if (depth, child) not in dead:
+                if depth == len(pairs):
                     return True
-        dead.add(key)
-        return False
-
-    return assign(0, pool)
+                stack.append((child, routes(child, pairs[depth])))
+                break
+        else:
+            dead.add((depth - 1, stack.pop()[0]))
+    return False
 
 
 def sigma_exhaustive(g: Graph, limit_n: int | None = None) -> int:
@@ -271,33 +248,33 @@ def sigma_exhaustive(g: Graph, limit_n: int | None = None) -> int:
     internal vertices avoid the branch set.
 
     Branch sets are scanned for descending h with degree pruning (a branch
-    vertex needs degree at least h - 1); path packing is exhaustive with a
-    fast distinct-common-neighbour pass first, so paths of any length count.
+    vertex needs degree at least h - 1); path packing is exhaustive over the
+    free-vertex mask, so paths of any length count.
     """
     check_guard("sigma_exhaustive", g.n, SIGMA_MAX_N, limit_n)
     n = g.n
     if n == 0:
         return 0
     adj = tuple(g.adjacency_mask(v) for v in range(n))
-    degrees = sorted((g.degree(v) for v in range(n)), reverse=True)
-    h_max = 1
-    for h in range(n, 1, -1):
-        if degrees[h - 1] >= h - 1:
-            h_max = h
-            break
     full = g.full_mask
-    for h in range(h_max, 1, -1):
+
+    def routes(free: int, pair: tuple[int, int]) -> Iterator[int]:
+        for used, _ in simple_paths(adj, *pair, free):
+            yield free & ~used
+
+    for h in range(n, 1, -1):
         candidates = [v for v in range(n) if g.degree(v) >= h - 1]
         if len(candidates) < h:
             continue
         for branch in combinations(candidates, h):
-            b_mask = vertex_mask(branch, n)
+            pool = full & ~vertex_mask(branch, n)
             missing = [
                 (u, v) for u, v in combinations(branch, 2) if not g.has_edge(u, v)
             ]
-            if not missing:
-                return h
-            if _route_internally_disjoint(adj, missing, full & ~b_mask):
+            if not all(reach(adj, 1 << u, pool | 1 << v) >> v & 1 for u, v in missing):
+                continue
+            missing.sort(key=lambda p: ((adj[p[0]] & adj[p[1]] & pool).bit_count(), p))
+            if _pack(missing, pool, routes):
                 return h
     return 1
 
@@ -312,8 +289,10 @@ def has_immersion_with_ends(
     the given end vertices?
 
     Packs edge-disjoint paths over the missing terminal pairs by exhaustive
-    backtracking. Adjacent terminal pairs always use their direct edge (a
-    rerouting exchange shows this loses nothing). In strong mode the internal
+    search over the free-edge rows. Adjacent terminal pairs always use their
+    direct edge (a rerouting exchange shows this loses nothing). Every
+    terminal needs its own edge towards each other terminal, so a terminal
+    of degree below t - 1 answers False at once. In strong mode the internal
     vertices are restricted to non-terminals; weak mode lifts only that
     restriction.
     """
@@ -322,6 +301,8 @@ def has_immersion_with_ends(
     t_mask = vertex_mask(t_set, g.n)
     if len(t_set) <= 1:
         return True
+    if any(g.degree(v) < len(t_set) - 1 for v in t_set):
+        return False
     avail = [g.adjacency_mask(v) for v in range(g.n)]
     missing: list[tuple[int, int]] = []
     for u, v in combinations(t_set, 2):
@@ -330,32 +311,17 @@ def has_immersion_with_ends(
             avail[v] &= ~(1 << u)
         else:
             missing.append((u, v))
-    if not missing:
-        return True
     internal_ok = g.full_mask & ~t_mask if strong else g.full_mask
 
-    def consume(route: tuple[int, ...]) -> None:
-        for a, b in zip(route, route[1:]):
-            avail[a] &= ~(1 << b)
-            avail[b] &= ~(1 << a)
+    def routes(free: tuple[int, ...], pair: tuple[int, int]) -> Iterator[tuple[int, ...]]:
+        for _, route in simple_paths(free, *pair, internal_ok):
+            rows = list(free)
+            for a, b in zip(route, route[1:]):
+                rows[a] &= ~(1 << b)
+                rows[b] &= ~(1 << a)
+            yield tuple(rows)
 
-    def restore(route: tuple[int, ...]) -> None:
-        for a, b in zip(route, route[1:]):
-            avail[a] |= 1 << b
-            avail[b] |= 1 << a
-
-    def pack(idx: int) -> bool:
-        if idx == len(missing):
-            return True
-        u, v = missing[idx]
-        for _, route in simple_paths(avail, u, v, internal_ok):
-            consume(route)
-            if pack(idx + 1):
-                return True
-            restore(route)
-        return False
-
-    return pack(0)
+    return _pack(missing, tuple(avail), routes)
 
 
 # -- serialization ------------------------------------------------------------

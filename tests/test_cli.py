@@ -144,6 +144,15 @@ def test_bounds_modes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode", ["case1", "case2"])
+@pytest.mark.parametrize("c", ["inf", "nan", "1e300"])
+def test_bounds_rejects_a_non_finite_delta(capsys, mode, c):
+    code, out, err = run(capsys, "bounds", "--mode", mode, "--c", c, "--json")
+    assert code == 2
+    assert out == ""
+    assert "non-finite delta" in err
+
+
 def test_params_approx_beyond_guard(capsys, tmp_path):
     from clique_extremal import random_graph
 

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +31,9 @@ from clique_extremal import (
     verify_immersion,
     verify_subdivision,
 )
+
+import clique_extremal
+from clique_extremal.graph import iter_bits, reach, simple_paths, vertex_mask
 
 from conftest import complete_graph, cycle_graph
 
@@ -313,6 +321,172 @@ def test_has_immersion_with_ends_on_a_deep_path():
     n = 1100
     g = Graph.from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
     assert has_immersion_with_ends(g, [0, n - 1], limit_n=n)
+
+
+# The earlier searches, kept as the reference: an augmenting matching over
+# common neighbours, then a memoised recursive internal-set assignment for
+# sigma; an unmemoised recursive route packing with no degree cut for
+# immersions.
+
+
+def reference_match_length_two(adj, pairs, pool):
+    cands = [adj[u] & adj[v] & pool for u, v in pairs]
+    matched = {}
+
+    def assign(i, banned):
+        free = cands[i] & ~banned[0]
+        for w in iter_bits(free):
+            banned[0] |= 1 << w
+            j = matched.get(w)
+            if j is None or assign(j, banned):
+                matched[w] = i
+                return True
+        return False
+
+    return all(assign(i, [0]) for i in range(len(pairs)))
+
+
+def reference_route_internally_disjoint(adj, missing, pool):
+    for u, v in missing:
+        if not reach(adj, 1 << u, pool | 1 << v) >> v & 1:
+            return False
+    if reference_match_length_two(adj, missing, pool):
+        return True
+    order = sorted(missing, key=lambda p: ((adj[p[0]] & adj[p[1]] & pool).bit_count(), p))
+    dead = set()
+
+    def assign(idx, avail):
+        if idx == len(order):
+            return True
+        key = (idx, avail)
+        if key in dead:
+            return False
+        u, v = order[idx]
+        seen = set()
+        for used, _ in simple_paths(adj, u, v, avail):
+            if used not in seen:
+                seen.add(used)
+                if assign(idx + 1, avail & ~used):
+                    return True
+        dead.add(key)
+        return False
+
+    return assign(0, pool)
+
+
+def reference_sigma(g):
+    n = g.n
+    if n == 0:
+        return 0
+    adj = tuple(g.adjacency_mask(v) for v in range(n))
+    degrees = sorted((g.degree(v) for v in range(n)), reverse=True)
+    h_max = 1
+    for h in range(n, 1, -1):
+        if degrees[h - 1] >= h - 1:
+            h_max = h
+            break
+    for h in range(h_max, 1, -1):
+        candidates = [v for v in range(n) if g.degree(v) >= h - 1]
+        if len(candidates) < h:
+            continue
+        for branch in combinations(candidates, h):
+            b_mask = vertex_mask(branch, n)
+            missing = [(u, v) for u, v in combinations(branch, 2) if not g.has_edge(u, v)]
+            if not missing:
+                return h
+            if reference_route_internally_disjoint(adj, missing, g.full_mask & ~b_mask):
+                return h
+    return 1
+
+
+def reference_has_immersion(g, terminals, strong):
+    t_set = sorted(set(terminals))
+    t_mask = vertex_mask(t_set, g.n)
+    if len(t_set) <= 1:
+        return True
+    avail = [g.adjacency_mask(v) for v in range(g.n)]
+    missing = []
+    for u, v in combinations(t_set, 2):
+        if g.has_edge(u, v):
+            avail[u] &= ~(1 << v)
+            avail[v] &= ~(1 << u)
+        else:
+            missing.append((u, v))
+    internal_ok = g.full_mask & ~t_mask if strong else g.full_mask
+
+    def consume(route):
+        for a, b in zip(route, route[1:]):
+            avail[a] &= ~(1 << b)
+            avail[b] &= ~(1 << a)
+
+    def restore(route):
+        for a, b in zip(route, route[1:]):
+            avail[a] |= 1 << b
+            avail[b] |= 1 << a
+
+    def pack(idx):
+        if idx == len(missing):
+            return True
+        u, v = missing[idx]
+        for _, route in simple_paths(avail, u, v, internal_ok):
+            consume(route)
+            if pack(idx + 1):
+                return True
+            restore(route)
+        return False
+
+    return pack(0)
+
+
+@st.composite
+def graph_with_terminals(draw, max_n=9):
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edge_list(n, [pair for pair, keep in zip(pairs, present) if keep])
+    terminals = draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else set()
+    return g, sorted(terminals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_with_terminals())
+def test_searches_match_the_reference(instance):
+    g, terminals = instance
+    assert sigma_exhaustive(g) == reference_sigma(g)
+    for strong in (True, False):
+        assert has_immersion_with_ends(g, terminals, strong=strong) == reference_has_immersion(
+            g, terminals, strong
+        )
+
+
+_SCAN = """
+import random, time
+from clique_extremal import has_immersion_with_ends, random_graph
+
+g = random_graph(12, 0.5, 41)
+for strong in (True, False):
+    start = time.perf_counter()
+    assert not has_immersion_with_ends(g, [5, 3, 2, 6], strong=strong)
+    assert time.perf_counter() - start < 1.0, strong
+for seed in range(400):
+    rng = random.Random(seed)
+    g = random_graph(12, (0.3, 0.5, 0.7)[seed % 3], seed)
+    terminals = rng.sample(range(12), rng.randint(4, 6))
+    for strong in (True, False):
+        has_immersion_with_ends(g, terminals, strong=strong)
+"""
+
+
+def test_immersion_search_finishes_on_seeded_instances():
+    # terminal 6 of the seed-41 graph has degree 2, so no K_4 immersion can
+    # end there; a search without a degree cut and a memo ran for minutes on
+    # it. A subprocess with a timeout turns such a hang into a failure.
+    env = {**os.environ, "PYTHONPATH": str(Path(clique_extremal.__file__).resolve().parents[1])}
+    try:
+        done = subprocess.run([sys.executable, "-c", _SCAN], env=env, capture_output=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the seeded immersion scan did not finish within 30 s")
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_has_immersion_with_ends_degenerate_and_guard():
