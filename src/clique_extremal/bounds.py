@@ -73,11 +73,15 @@ class RecursionCheck:
 
 def boundt_value(t: int, x: int, d: int) -> BoundtValue:
     """log2 of 2^(t - x/d) * (1 + 2^(-1/d))^(x/d), plus the exact rational
-    clique-number bound t - x/d."""
+    clique-number bound t - x/d. A t-vertex graph misses at most t(t-1)/2
+    edges, and at most td/2 when d caps its missing degrees, so a larger x
+    describes no graph and is rejected."""
     if d < 1:
         raise ValueError(f"complement degree cap must be positive, got {d}")
     if t < 1 or x < 0:
         raise ValueError(f"need t >= 1 and x >= 0, got t = {t}, x = {x}")
+    if 2 * x > t * min(t - 1, d):
+        raise ValueError(f"no {t}-vertex graph with missing degrees at most {d} misses {x} edges")
     log2 = _boundt_log2(t, x, d)
     return BoundtValue(log2, Fraction(t) - Fraction(x, d))
 
@@ -105,6 +109,8 @@ def case1_exponent(c: float, d: float) -> float:
     missing-degree cap exceeds 2c(c-1)."""
     if c <= 1:
         raise ValueError(f"need c > 1, got {c}")
+    if d <= 2.0 * c * (c - 1.0):
+        raise ValueError(f"the sparse branch needs d > 2c(c - 1) = {2.0 * c * (c - 1.0)}, got d = {d}")
     return 1.0 + (c - 1.0) * case1_rate(d)
 
 

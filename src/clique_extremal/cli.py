@@ -61,6 +61,18 @@ def _parse_params(raw: str, names: tuple[str, ...]) -> dict[str, int]:
         raise ValueError(f"--params must be integers, got {raw!r}") from exc
 
 
+def _guard_limit(raw: str) -> int:
+    """A --limit-n value, rejected when negative whether or not the command
+    runs a guarded search."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _emit(data: dict, as_json: bool, human_lines: list[str]) -> None:
     if as_json:
         print(json.dumps(data, sort_keys=True))
@@ -316,18 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
     count = subs.add_parser("count", help="count cliques exactly")
     _add_graph_input(count)
     count.add_argument("--method", choices=("peeling", "oracle", "both"), default="both")
-    count.add_argument("--limit-n", type=int, default=None, dest="limit_n")
+    count.add_argument("--limit-n", type=_guard_limit, default=None, dest="limit_n")
     count.set_defaults(handler=_cmd_count)
 
     sigma = subs.add_parser("sigma", help="exact clique subdivision number")
     _add_graph_input(sigma)
-    sigma.add_argument("--limit-n", type=int, default=None, dest="limit_n")
+    sigma.add_argument("--limit-n", type=_guard_limit, default=None, dest="limit_n")
     sigma.set_defaults(handler=_cmd_sigma)
 
     params = subs.add_parser("params", help="t parameter, witness, and sigma sandwich")
     _add_graph_input(params)
     params.add_argument("--t", type=int, default=None)
-    params.add_argument("--limit-n", type=int, default=None, dest="limit_n")
+    params.add_argument("--limit-n", type=_guard_limit, default=None, dest="limit_n")
     params.add_argument(
         "--approx",
         action="store_true",

@@ -2,7 +2,8 @@
 
 Every exact search takes an optional ``limit_n`` argument; when it is left as
 None the default below applies, unless the CLIQUE_EXTREMAL_MAX_N environment
-variable overrides all defaults at once.
+variable overrides all defaults at once. A negative limit from either source
+is a ValueError, not a guard that every input exceeds.
 
 ``MAX_PARSE_N`` is no guard: it caps the vertex count an edge-list header may
 announce, before any allocation, and no option or variable changes it.
@@ -24,13 +25,18 @@ _ENV_VAR = "CLIQUE_EXTREMAL_MAX_N"
 
 def effective_guard(default: int, override: int | None = None) -> int:
     if override is not None:
+        if override < 0:
+            raise ValueError(f"limit_n must be non-negative, got {override}")
         return override
     raw = os.environ.get(_ENV_VAR)
     if raw is not None:
         try:
-            return int(raw)
+            cap = int(raw)
         except ValueError as exc:
             raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from exc
+        if cap < 0:
+            raise ValueError(f"{_ENV_VAR} must be non-negative, got {raw!r}")
+        return cap
     return default
 
 

@@ -7,8 +7,11 @@ branch-and-bound over the complement graph and a size guard.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from .graph import Graph, iter_bits
 from .limits import SUBSET_MAX_N, check_guard
@@ -36,6 +39,68 @@ class ParamReport:
     sigma_upper: int
 
 
+class _SearchTables:
+    """Tables of the subset search that depend on the graph alone, shared by
+    every t. Vertices sit at positions in ascending complement-degree order
+    and level i leaves R = ``order[i:]`` undecided. A counter per position
+    is one ``width``-bit field of a single int, the field of position j at
+    bit ``width * j`` in absolute packs and ``width * (j - i)`` in those of
+    level i. Level tables are built the first time a search reaches them.
+    """
+
+    __slots__ = ("comp", "order", "undecided", "width", "code", "fields", "levels", "_pos")
+
+    def __init__(self, g: Graph):
+        n = g.n
+        complement = g.complement()
+        self.comp = tuple(complement.adjacency_mask(v) for v in range(n))
+        self.order = sorted(range(n), key=lambda v: (self.comp[v].bit_count(), v))
+        self._pos = [0] * n
+        for i, v in enumerate(self.order):
+            self._pos[v] = i
+        self.undecided = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            self.undecided[i] = self.undecided[i + 1] | (1 << self.order[i])
+        # a field holds a key (at most 3(n - 1)) and a biased field
+        # 2^(width - 1) + d_R(u) - (r - s), whose top bit is exact while
+        # n <= 2^(width - 1), since d_R(u) and r - s are below n
+        for code in "BHIQ":
+            self.width = 8 * array(code).itemsize
+            if 3 * (n - 1) < 1 << self.width and n <= 1 << (self.width - 1):
+                break
+        self.code = code
+        # reads a pack's bytes as its fields; 8-bit fields are the bytes
+        self.fields = bytes if self.width == 8 else partial(array, code)
+        self.levels: list[tuple[int, ...] | None] = [None] * n
+
+    def _pack(self, fields: list[int]) -> int:
+        return int.from_bytes(array(self.code, fields).tobytes(), sys.byteorder)
+
+    def level(self, i: int) -> tuple[int, ...]:
+        """(bit of order[i], its absolute spread, packed d_R, packed
+        2^(width - 1) + d_R, packed ones, packed 2^(width - 1), bytes in a
+        pack, e(R)) for R = order[i:]."""
+        comp, rest, v = self.comp, self.undecided[i], self.order[i]
+        degrees = [(comp[u] & rest).bit_count() for u in self.order[i:]]
+        spread = [0] * len(self.order)
+        for u in iter_bits(comp[v] & self.undecided[i + 1]):
+            spread[self._pos[u]] = 1
+        ones = self._pack([1] * len(degrees))
+        high = ones << (self.width - 1)
+        deg = self._pack(degrees)
+        table = (
+            1 << v, self._pack(spread), deg, deg + high, ones, high,
+            len(degrees) * self.width // 8, sum(degrees) // 2,
+        )
+        self.levels[i] = table
+        return table
+
+
+@lru_cache(maxsize=8)
+def _search_tables(g: Graph) -> _SearchTables:
+    return _SearchTables(g)
+
+
 def min_tset_missing(
     g: Graph,
     t: int,
@@ -48,40 +113,52 @@ def min_tset_missing(
     complement-degree order, the first t of them give the starting
     incumbent, and a depth-first search (include a vertex before excluding
     it, on an explicit stack) cuts a branch once its partial missing count
-    plus a completion bound cannot beat the incumbent. With R the r
+    plus a lower bound on the rest cannot beat the incumbent. With R the r
     undecided vertices and s open slots, a vertex u in R has m_u
-    complement-neighbours among the chosen ones and d_R(u) in R. A
-    completion S of R with |S| = s leaves each u in S at least
-    s - r + d_R(u) complement-neighbours inside S, so it adds at least half
-    the sum of the s smallest keys 2 m_u + max(0, s - r + d_R(u)), rounded
-    up. The bound only cuts branches that hold no strictly better subset,
-    so the witness is the first optimal subset in search order. ``stop_at``
-    ends the search at the first subset found with at most that many
-    missing edges (used by threshold queries).
+    complement-neighbours among the chosen ones and d_R(u) in R, and a
+    completion S of R with |S| = s adds sum_S m_u + e(S), e counting
+    complement edges. Two bounds on it are checked in turn:
+
+    * each u in S keeps at least s - r + d_R(u) complement-neighbours in S,
+      so the completion adds at least half the sum of the s smallest keys
+      2 m_u + max(0, s - r + d_R(u)), rounded up;
+    * sum_S d_R(u) = 2 e(S) + e(S, R - S) and e(R) = e(S) + e(R - S) +
+      e(S, R - S) give sum_S m_u + e(S) = sum_S (m_u + d_R(u)) - e(R) +
+      e(R - S), so the completion adds at least the sum of the s smallest
+      m_u + d_R(u), less e(R).
+
+    The counters m_u are fields of one int, so including a vertex is one
+    add of its spread (its later complement-neighbours, one per field),
+    max(0, s - r + d_R(u)) comes from the top bits of biased fields, and
+    each key list is one sort of the pack's bytes. The field width is the
+    smallest of 8, 16, 32 and 64 bits that holds 3(n - 1) and the bias n.
+    The tables for a graph are kept in a cache of the last 8 graphs seen,
+    so searches for every t of one graph build them once.
+
+    A bound only cuts branches that hold no strictly better subset, so the
+    witness is the first optimal subset in search order, whichever bounds
+    are used. ``stop_at`` ends the search at the first subset found with at
+    most that many missing edges (used by threshold queries).
     """
     n = g.n
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t = {t}, n = {n}")
     check_guard("min_tset_missing", n, SUBSET_MAX_N, limit_n)
-    complement = g.complement()
-    comp = tuple(complement.adjacency_mask(v) for v in range(n))
-    order = sorted(range(n), key=lambda v: (comp[v].bit_count(), v))
-    comp_sorted = [comp[v] for v in order]
-    undecided = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        undecided[i] = undecided[i + 1] | (1 << order[i])
+    tables = _search_tables(g)
+    comp, levels, width, fields = tables.comp, tables.levels, tables.width, tables.fields
+    field, top_shift, byteorder = (1 << width) - 1, width - 1, sys.byteorder
 
     best_mask = 0
     best = 0
-    for v in order[:t]:
+    for v in tables.order[:t]:
         best += (comp[v] & best_mask).bit_count()
         best_mask |= 1 << v
     if stop_at is not None and best <= stop_at:
         return best, frozenset(iter_bits(best_mask))
 
-    stack = [(0, 0, 0, 0)]
+    stack = [(0, 0, 0, 0, 0)]
     while stack:
-        i, k, cur, chosen = stack.pop()
+        i, k, cur, counts, chosen = stack.pop()
         if cur >= best:
             continue
         if k == t:
@@ -90,21 +167,22 @@ def min_tset_missing(
                 break
             continue
         slots = t - k
-        slack = slots - (n - i)
-        if slack > 0:
+        spare = n - i - slots
+        if spare < 0:
             continue
-        rest = undecided[i]
-        keys = []
-        for c in comp_sorted[i:]:
-            forced = slack + (c & rest).bit_count()
-            keys.append(2 * (c & chosen).bit_count() + (forced if forced > 0 else 0))
-        keys.sort()
+        bit, spread, deg, biased, ones, high, size, inner = levels[i] or tables.level(i)
+        m = counts >> width * i
+        x = biased - spare * ones
+        top = x & high
+        keys = sorted(fields(((m << 1) + (x & (top - (top >> top_shift)))).to_bytes(size, byteorder)))
         if cur + (sum(keys[:slots]) + 1) // 2 >= best:
             continue
-        v = order[i]
+        keys = sorted(fields((m + deg).to_bytes(size, byteorder)))
+        if cur + sum(keys[:slots]) - inner >= best:
+            continue
         # the include branch goes on top, so it is searched first
-        stack.append((i + 1, k, cur, chosen))
-        stack.append((i + 1, k + 1, cur + (comp[v] & chosen).bit_count(), chosen | (1 << v)))
+        stack.append((i + 1, k, cur, counts, chosen))
+        stack.append((i + 1, k + 1, cur + (m & field), counts + spread, chosen | bit))
     return best, frozenset(iter_bits(best_mask))
 
 

@@ -53,6 +53,15 @@ def test_boundt_validates():
         boundt_value(10, 4, 0)
     with pytest.raises(ValueError):
         boundt_value(0, 0, 1)
+    # no 3-vertex graph misses 100 edges, and none on 4 vertices with
+    # missing degrees at most 1 misses 5 (that would read -97 and -1)
+    for t, x, d in ((3, 100, 1), (4, 5, 1), (4, 7, 3), (5, 3, 1)):
+        with pytest.raises(ValueError):
+            boundt_value(t, x, d)
+    # the extremes that do describe graphs: K_t's complement, a perfect matching
+    assert boundt_value(4, 6, 3).clique_number_bound == 2
+    assert boundt_value(4, 2, 1).clique_number_bound == 2
+    assert boundt_value(10, 10, 2).clique_number_bound == 5
 
 
 def test_boundt_empirical_random_graphs():
@@ -92,6 +101,11 @@ def test_case1_exponent_limits():
     assert math.isclose(case1_exponent(2.0, 10 ** 6), 1.0, abs_tol=1e-4)
     with pytest.raises(ValueError):
         case1_exponent(1.0, 2)
+    # the sparse branch needs d > 2c(c - 1), which is 12 at c = 3
+    for d in (1, 12):
+        with pytest.raises(ValueError):
+            case1_exponent(3.0, d)
+    assert case1_exponent(3.0, 13) > 1.0
     with pytest.raises(ValueError):
         case1_rate(0.5)
 

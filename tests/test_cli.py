@@ -153,6 +153,31 @@ def test_bounds_rejects_a_non_finite_delta(capsys, mode, c):
     assert "non-finite delta" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--mode", "boundt", "--params", "3,100,1"),
+        ("--mode", "boundt", "--params", "4,5,1"),
+        ("--mode", "case1", "--c", "3", "--d", "1"),
+        ("--mode", "case1", "--c", "3", "--d", "12"),
+    ],
+)
+def test_bounds_rejects_parameters_outside_their_range(capsys, argv):
+    code, out, err = run(capsys, "bounds", *argv, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_bounds_valid_edge_parameters_still_run(capsys):
+    code, out, _ = run(capsys, "bounds", "--mode", "boundt", "--params", "10,10,2", "--json")
+    assert code == 0
+    assert json.loads(out)["clique_number_bound"] == "5"
+    code, out, _ = run(capsys, "bounds", "--mode", "case1", "--c", "3", "--d", "13", "--json")
+    assert code == 0
+    assert json.loads(out)["D"] == 13
+
+
 def test_params_approx_beyond_guard(capsys, tmp_path):
     from clique_extremal import random_graph
 
@@ -202,6 +227,24 @@ def test_guard_env_override(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "sigma", "--input", path, "--json")
     assert code == 0
     assert json.loads(out)["sigma"] == 1
+
+
+def test_negative_guard_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    from clique_extremal import Graph
+
+    path = str(tmp_path / "small.el")
+    save_graph(Graph.from_edge_list(5, [(0, 1)]), path, "edgelist")
+    for argv in (("sigma",), ("params",), ("count",), ("count", "--method", "peeling")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", path, "--limit-n", "-1"])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--limit-n: must be non-negative" in captured.err
+    monkeypatch.setenv("CLIQUE_EXTREMAL_MAX_N", "-1")
+    for command in ("sigma", "params", "count"):
+        code, out, err = run(capsys, command, "--input", path)
+        assert code == 2, command
+        assert out == "" and "CLIQUE_EXTREMAL_MAX_N must be non-negative" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,9 @@ from clique_extremal import (
     t_param_lower_estimate,
     tset_missing_upper_estimate,
 )
+from clique_extremal import params
+from clique_extremal.graph import iter_bits
+from clique_extremal.limits import SUBSET_MAX_N, check_guard
 
 from conftest import brute_min_tset_missing, brute_t_param, complete_graph, cycle_graph
 
@@ -86,6 +90,127 @@ def test_min_tset_missing_property_against_brute_force(case):
     assert value <= stop_at if exact <= stop_at else value == exact
 
 
+# The search before the exclusion bound, the packed counters and the table
+# cache, kept verbatim as the reference: its values and witnesses are the
+# ones the search must keep.
+def reference_min_tset_missing(
+    g: Graph,
+    t: int,
+    limit_n: int | None = None,
+    stop_at: int | None = None,
+) -> tuple[int, frozenset[int]]:
+    n = g.n
+    if not 1 <= t <= n:
+        raise ValueError(f"need 1 <= t <= n, got t = {t}, n = {n}")
+    check_guard("min_tset_missing", n, SUBSET_MAX_N, limit_n)
+    complement = g.complement()
+    comp = tuple(complement.adjacency_mask(v) for v in range(n))
+    order = sorted(range(n), key=lambda v: (comp[v].bit_count(), v))
+    comp_sorted = [comp[v] for v in order]
+    undecided = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        undecided[i] = undecided[i + 1] | (1 << order[i])
+
+    best_mask = 0
+    best = 0
+    for v in order[:t]:
+        best += (comp[v] & best_mask).bit_count()
+        best_mask |= 1 << v
+    if stop_at is not None and best <= stop_at:
+        return best, frozenset(iter_bits(best_mask))
+
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, k, cur, chosen = stack.pop()
+        if cur >= best:
+            continue
+        if k == t:
+            best, best_mask = cur, chosen
+            if stop_at is not None and cur <= stop_at:
+                break
+            continue
+        slots = t - k
+        slack = slots - (n - i)
+        if slack > 0:
+            continue
+        rest = undecided[i]
+        keys = []
+        for c in comp_sorted[i:]:
+            forced = slack + (c & rest).bit_count()
+            keys.append(2 * (c & chosen).bit_count() + (forced if forced > 0 else 0))
+        keys.sort()
+        if cur + (sum(keys[:slots]) + 1) // 2 >= best:
+            continue
+        v = order[i]
+        # the include branch goes on top, so it is searched first
+        stack.append((i + 1, k, cur, chosen))
+        stack.append((i + 1, k + 1, cur + (comp[v] & chosen).bit_count(), chosen | (1 << v)))
+    return best, frozenset(iter_bits(best_mask))
+
+
+@st.composite
+def graph_and_t_order(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edge_list(n, [e for e, keep in zip(pairs, present) if keep])
+    ts = list(range(1, n + 1))
+    order = draw(st.sampled_from(("ascending", "descending", "shuffled")))
+    if order == "descending":
+        ts.reverse()
+    elif order == "shuffled":
+        ts = draw(st.permutations(ts))
+    return g, ts, draw(st.integers(0, len(pairs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_t_order())
+def test_min_tset_missing_matches_the_reference_in_any_t_order(case):
+    # the per-graph tables are cached: neither the order of the t nor a
+    # second, equal graph may change a value or a witness
+    g, ts, stop = case
+    twin = Graph(g.n, [g.adjacency_mask(v) for v in range(g.n)])
+    assert twin == g and twin is not g
+    expected = {
+        (t, stop_at): reference_min_tset_missing(g, t, stop_at=stop_at)
+        for t in ts
+        for stop_at in (None, g.n - t, stop)
+    }
+    for graph in (g, twin):
+        for t in ts:
+            for stop_at in (None, g.n - t, stop):
+                assert min_tset_missing(graph, t, stop_at=stop_at) == expected[t, stop_at], (t, stop_at)
+
+
+@pytest.mark.parametrize(
+    "n, p, t, width",
+    [(86, 0.1, 6, 8), (86, 0.2, 6, 8), (87, 0.1, 6, 16), (87, 0.2, 6, 16), (100, 0.1, 5, 16), (200, 0.8, 6, 16)],
+)
+def test_min_tset_missing_above_the_guard_matches_the_reference(n, p, t, width):
+    # 8-bit fields hold every key and the bias up to n = 86, wider ones from
+    # 87 on; at n = 200, 8-bit fields give 1 instead of 0 at t = 6
+    g = random_graph(n, p, n)
+    assert params._search_tables(g).width == width
+    for stop_at in (None, 2):
+        assert min_tset_missing(g, t, limit_n=n, stop_at=stop_at) == reference_min_tset_missing(
+            g, t, limit_n=n, stop_at=stop_at
+        )
+
+
+def test_min_tset_missing_cache_stays_bounded():
+    cache = params._search_tables
+    size = cache.cache_info().maxsize
+    rng = random.Random("cache-bound")
+    graphs = [random_graph(rng.randint(6, 12), 0.5, rng.randrange(2**32)) for _ in range(size + 3)]
+    for g in graphs:
+        assert min_tset_missing(g, g.n // 2) == reference_min_tset_missing(g, g.n // 2)
+        assert cache.cache_info().currsize <= size
+    assert cache.cache_info().currsize == size
+    # the oldest graphs were dropped and are rebuilt on their next search
+    assert min_tset_missing(graphs[0], 3) == reference_min_tset_missing(graphs[0], 3)
+    assert cache.cache_info().currsize == size
+
+
 def test_min_tset_missing_deep_search_needs_no_recursion():
     # 1200 vertices: a search recursing once per vertex would pass Python's
     # default recursion limit
@@ -100,6 +225,8 @@ def test_min_tset_missing_validates():
     with pytest.raises(GuardExceeded):
         min_tset_missing(Graph.from_edge_list(25, []), 3)
     assert min_tset_missing(Graph.from_edge_list(25, []), 3, limit_n=25)[0] == 3
+    with pytest.raises(ValueError):
+        min_tset_missing(complete_graph(3), 2, limit_n=-1)
 
 
 def test_upper_estimate_bounds_the_minimum():
