@@ -241,8 +241,25 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
+# The flags each bounds mode reads; any other flag is a usage error, not
+# silently dropped. case1 reads --d only together with --c.
+_BOUNDS_FLAGS = {
+    "boundt": ("params",),
+    "recursion-check": ("params",),
+    "case1": ("c", "d"),
+    "case2": ("c",),
+    "coarse": (),
+    "refined": (),
+}
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     mode = args.mode
+    for flag in ("params", "c", "d"):
+        if getattr(args, flag) is not None and flag not in _BOUNDS_FLAGS[mode]:
+            raise ValueError(f"--{flag} is not read by --mode {mode}")
+    if args.d is not None and args.c is None:
+        raise ValueError(f"--d is read by --mode {mode} only together with --c")
     if args.c is not None and not math.isfinite(2 * args.c * (args.c - 1)):
         raise ValueError(f"--c {args.c} gives a non-finite delta = 2c(c - 1)")
     if mode == "boundt":

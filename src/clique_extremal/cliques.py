@@ -50,6 +50,11 @@ class PeelingTrace:
     stop_index: int
 
 
+def _trace(picked: list[int], sizes: list[int], missing_degrees: list[int], reason: str) -> PeelingTrace:
+    """The trace of a loop that stopped for ``reason`` after its last size entry."""
+    return PeelingTrace(tuple(picked), tuple(sizes), tuple(missing_degrees), reason, len(sizes) - 1)
+
+
 def _min_degree_vertex(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
     """Vertex of minimum degree in the induced submask, lowest index on ties."""
     best_v = -1
@@ -64,21 +69,30 @@ def _min_degree_vertex(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
 def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
     """Exact clique count and clique number via independent sets of the
     complement (cliques of G are exactly the independent sets of its
-    complement)."""
-    check_guard("count_cliques_oracle", g.n, ORACLE_MAX_N, limit_n)
-    if g.n == 0:
-        return CliqueStats(1, 0, 0)
-    comp = tuple(map(g.complement().adjacency_mask, range(g.n)))
-    memo: dict[int, tuple[int, int]] = {}
+    complement).
 
-    def solve(mask: int) -> tuple[int, int]:
-        """(number of independent sets including the empty one, independence
-        number) of the complement induced on ``mask``."""
-        if mask == 0:
-            return 1, 0
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
+    ``memo`` maps a mask to (independent sets of the complement on it, the
+    empty one included, and its independence number). The explicit stack
+    holds masks to solve and (mask, first, second, split) entries that
+    combine two solved parts: a product when ``split`` (the component of a
+    maximum-degree vertex v and the rest), else a branch on v."""
+    check_guard("count_cliques_oracle", g.n, ORACLE_MAX_N, limit_n)
+    comp = tuple(map(g.complement().adjacency_mask, range(g.n)))
+    memo: dict[int, tuple[int, int]] = {0: (1, 0)}
+    stack: list[int | tuple[int, int, int, bool]] = [g.full_mask]
+    while stack:
+        top = stack.pop()
+        if type(top) is tuple:
+            mask, first, second, split = top
+            (count_a, alpha_a), (count_b, alpha_b) = memo[first], memo[second]
+            if split:
+                memo[mask] = (count_a * count_b, alpha_a + alpha_b)
+            else:
+                memo[mask] = (count_a + count_b, max(alpha_a, 1 + alpha_b))
+            continue
+        mask = top
+        if mask in memo:
+            continue
         best_v = -1
         best_d = -1
         for v in iter_bits(mask):
@@ -87,21 +101,15 @@ def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
                 best_v, best_d = v, d
         if best_d == 0:
             k = mask.bit_count()
-            result = (1 << k, k)
+            memo[mask] = (1 << k, k)
+            continue
+        piece = reach(comp, 1 << best_v, mask)
+        if piece != mask:
+            first, second, split = mask & ~piece, piece, True
         else:
-            piece = reach(comp, 1 << best_v, mask)
-            if piece != mask:
-                count_rest, alpha_rest = solve(mask & ~piece)
-                count_piece, alpha_piece = solve(piece)
-                result = (count_piece * count_rest, alpha_piece + alpha_rest)
-            else:
-                count_ex, alpha_ex = solve(mask & ~(1 << best_v))
-                count_in, alpha_in = solve(mask & ~(comp[best_v] | (1 << best_v)))
-                result = (count_ex + count_in, max(alpha_ex, 1 + alpha_in))
-        memo[mask] = result
-        return result
-
-    count, alpha = solve(g.full_mask)
+            first, second, split = mask & ~(1 << best_v), mask & ~(comp[best_v] | (1 << best_v)), False
+        stack += ((mask, first, second, split), second, first)
+    count, alpha = memo[g.full_mask]
     return CliqueStats(count, count - 1, alpha)
 
 
@@ -109,52 +117,41 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
     """Peeling enumeration: repeatedly pick a minimum degree vertex (lowest
     index on ties), count the cliques containing it inside its
     neighbourhood, then delete it. The trace records the outer loop; it runs
-    to exhaustion, so its stop reason is always clique-exhausted."""
-    n = g.n
-    adj = tuple(g.adjacency_mask(v) for v in range(n))
-    omega = 0
+    to exhaustion, so its stop reason is always clique-exhausted.
 
-    def count_within(mask: int, depth: int) -> int:
-        """Cliques including the empty one inside ``mask``; the current pick
-        chain has ``depth`` vertices. Deletions loop, so recursion depth is
-        bounded by the clique number."""
-        nonlocal omega
-        total = 1
-        residual = mask
-        while residual:
-            size = residual.bit_count()
-            v, d = _min_degree_vertex(adj, residual)
-            if d == size - 1:
-                if depth + size > omega:
-                    omega = depth + size
-                return total + (1 << size) - 1
-            total += count_within(adj[v] & residual, depth + 1)
-            residual &= ~(1 << v)
-        if depth > omega:
-            omega = depth
-        return total
-
+    One loop runs on an explicit stack of non-empty (residual, depth)
+    entries. A pick counts the clique it closes, then pushes the rest of its
+    level and above it the child N(v) & residual, one level deeper, so the
+    stack holds one entry per level. At depth 0 the trace records each pick;
+    deeper, a residual that is a clique adds all its non-empty subsets."""
+    adj = tuple(g.adjacency_mask(v) for v in range(g.n))
     picked: list[int] = []
-    sizes = [n]
+    sizes = [g.n]
     missing_degrees: list[int] = []
     total = 1
-    residual = g.full_mask
-    while residual:
+    omega = 0
+    stack = [(g.full_mask, 0)] if g.n else []
+    while stack:
+        residual, depth = stack.pop()
         size = residual.bit_count()
         v, d = _min_degree_vertex(adj, residual)
-        picked.append(v)
-        missing_degrees.append(size - 1 - d)
-        total += count_within(adj[v] & residual, 1)
-        residual &= ~(1 << v)
-        sizes.append(size - 1)
-    trace = PeelingTrace(
-        picked=tuple(picked),
-        sizes=tuple(sizes),
-        missing_degrees=tuple(missing_degrees),
-        stop_reason=STOP_EXHAUSTED,
-        stop_index=len(sizes) - 1,
-    )
-    return CliqueStats(total, total - 1, omega), trace
+        if not depth:
+            picked.append(v)
+            missing_degrees.append(size - 1 - d)
+            sizes.append(size - 1)
+        elif d == size - 1:
+            total += (1 << size) - 1
+            if depth + size > omega:
+                omega = depth + size
+            continue
+        total += 1
+        if depth >= omega:
+            omega = depth + 1
+        if size > 1:
+            stack.append((residual & ~(1 << v), depth))
+        if d:
+            stack.append((adj[v] & residual, depth + 1))
+    return CliqueStats(total, total - 1, omega), _trace(picked, sizes, missing_degrees, STOP_EXHAUSTED)
 
 
 def peel_trace(g: Graph, t: int, size_factor: float = 1.05, drop_exponent: float = 0.55) -> PeelingTrace:
@@ -173,7 +170,6 @@ def peel_trace(g: Graph, t: int, size_factor: float = 1.05, drop_exponent: float
     picked: list[int] = []
     sizes = [g.n]
     missing_degrees: list[int] = []
-    reason = STOP_EXHAUSTED
     while True:
         size = sizes[-1]
         if size <= size_factor * t:
@@ -190,10 +186,4 @@ def peel_trace(g: Graph, t: int, size_factor: float = 1.05, drop_exponent: float
         if sizes[-1] >= size - size ** drop_exponent:
             reason = STOP_SMALL_DROP
             break
-    return PeelingTrace(
-        picked=tuple(picked),
-        sizes=tuple(sizes),
-        missing_degrees=tuple(missing_degrees),
-        stop_reason=reason,
-        stop_index=len(sizes) - 1,
-    )
+    return _trace(picked, sizes, missing_degrees, reason)

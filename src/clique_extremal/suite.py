@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from multiprocessing import Pool
 
 from .bounds import boundt_value, case1_supremum, case2_supremum, optimize_constant
 from .cliques import count_cliques_oracle, count_cliques_peeling
@@ -69,15 +68,10 @@ def _rng(seed: int, tag: str, k: int) -> random.Random:
     return random.Random(f"{seed}:{tag}:{k}")
 
 
-def _timed(name: str, passed: bool, summary: str, data: dict, start: float) -> CheckResult:
-    return CheckResult(name, passed, summary, data, time.perf_counter() - start)
-
-
 # -- individual checks --------------------------------------------------------
 
 
-def check_peeling_vs_oracle(seed: int, quick: bool) -> CheckResult:
-    start = time.perf_counter()
+def check_peeling_vs_oracle(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     instances = 100 if quick else 1000
     mismatches = 0
     fingerprint = 0
@@ -92,17 +86,11 @@ def check_peeling_vs_oracle(seed: int, quick: bool) -> CheckResult:
             mismatches += 1
         fingerprint += a.count_including_empty
     data = {"instances": instances, "mismatches": mismatches, "clique_total": fingerprint}
-    return _timed(
-        "peeling-vs-oracle",
-        mismatches == 0,
-        f"{instances} random graphs (n <= 20), {mismatches} mismatches",
-        data,
-        start,
-    )
+    summary = f"{instances} random graphs (n <= 20), {mismatches} mismatches"
+    return "peeling-vs-oracle", mismatches == 0, summary, data
 
 
-def check_star_of_clique_counts(seed: int, quick: bool) -> CheckResult:
-    start = time.perf_counter()
+def check_star_of_clique_counts(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     t_hi, n_extra = (8, 8) if quick else (12, 20)
     bad = []
     cases = 0
@@ -114,17 +102,10 @@ def check_star_of_clique_counts(seed: int, quick: bool) -> CheckResult:
             if got != want:
                 bad.append([t, n, got, want])
     data = {"cases": cases, "failures": bad}
-    return _timed(
-        "star-of-clique-count",
-        not bad,
-        f"{cases} (t, n) pairs match 2^(t-2) * (n-t+3) exactly",
-        data,
-        start,
-    )
+    return "star-of-clique-count", not bad, f"{cases} (t, n) pairs match 2^(t-2) * (n-t+3) exactly", data
 
 
-def check_matching_complement_counts(seed: int, quick: bool) -> CheckResult:
-    start = time.perf_counter()
+def check_matching_complement_counts(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     n_hi = 16 if quick else 30
     bad = []
     cases = 0
@@ -134,13 +115,7 @@ def check_matching_complement_counts(seed: int, quick: bool) -> CheckResult:
         if got != 3 ** (n // 2):
             bad.append([n, got])
     data = {"cases": cases, "failures": bad}
-    return _timed(
-        "matching-complement-count",
-        not bad,
-        f"{cases} even n match 3^(n/2) exactly",
-        data,
-        start,
-    )
+    return "matching-complement-count", not bad, f"{cases} even n match 3^(n/2) exactly", data
 
 
 def _dense_instance_with_terminals(rng: random.Random, kind: str):
@@ -167,8 +142,7 @@ def _dense_instance_with_terminals(rng: random.Random, kind: str):
     raise AssertionError(f"rejection sampling for {kind} instances failed to converge")
 
 
-def check_immersion_embedder(seed: int, quick: bool) -> CheckResult:
-    start = time.perf_counter()
+def check_immersion_embedder(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     instances = 50 if quick else 500
     failures = 0
     for k in range(instances):
@@ -178,17 +152,11 @@ def check_immersion_embedder(seed: int, quick: bool) -> CheckResult:
         if not ok or any(len(route) > 3 for route in cert.paths.values()):
             failures += 1
     data = {"instances": instances, "failures": failures}
-    return _timed(
-        "immersion-embedder-soundness",
-        failures == 0,
-        f"{instances} dense instances, all certificates strong with paths of length <= 2",
-        data,
-        start,
-    )
+    summary = f"{instances} dense instances, all certificates strong with paths of length <= 2"
+    return "immersion-embedder-soundness", failures == 0, summary, data
 
 
-def check_subdivision_embedder(seed: int, quick: bool) -> CheckResult:
-    start = time.perf_counter()
+def check_subdivision_embedder(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     instances = 50 if quick else 500
     failures = 0
     for k in range(instances):
@@ -198,17 +166,11 @@ def check_subdivision_embedder(seed: int, quick: bool) -> CheckResult:
         if not ok or any(len(route) > 3 for route in cert.paths.values()):
             failures += 1
     data = {"instances": instances, "failures": failures}
-    return _timed(
-        "subdivision-embedder-soundness",
-        failures == 0,
-        f"{instances} dense instances, all subdivision certificates valid",
-        data,
-        start,
-    )
+    summary = f"{instances} dense instances, all subdivision certificates valid"
+    return "subdivision-embedder-soundness", failures == 0, summary, data
 
 
-def check_immersion_tightness(seed: int, quick: bool) -> CheckResult:
-    start = time.perf_counter()
+def check_immersion_tightness(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     cases = [(8, 4), (10, 4)] if quick else [(8, 4), (10, 4), (10, 6), (12, 6)]
     bad = []
     for n, t in cases:
@@ -219,17 +181,11 @@ def check_immersion_tightness(seed: int, quick: bool) -> CheckResult:
         if not sharp or strong or not weak:
             bad.append([n, t, sharp, strong, weak])
     data = {"cases": cases, "failures": bad}
-    return _timed(
-        "immersion-tightness-sharpness",
-        not bad,
-        f"{len(cases)} sharpness graphs: no strong immersion with the designated ends, weak exists",
-        data,
-        start,
-    )
+    summary = f"{len(cases)} sharpness graphs: no strong immersion with the designated ends, weak exists"
+    return "immersion-tightness-sharpness", not bad, summary, data
 
 
-def check_sigma_sandwich(seed: int, quick: bool) -> CheckResult:
-    start = time.perf_counter()
+def check_sigma_sandwich(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     instances = 60 if quick else 300
     sandwich_bad = 0
     threshold_bad = 0
@@ -250,17 +206,11 @@ def check_sigma_sandwich(seed: int, quick: bool) -> CheckResult:
         "sandwich_violations": sandwich_bad,
         "threshold_violations": threshold_bad,
     }
-    return _timed(
-        "sigma-sandwich",
-        sandwich_bad == 0 and threshold_bad == 0,
-        f"{instances} graphs (n <= 12): t - Delta <= sigma <= t, Delta above the averaging threshold",
-        data,
-        start,
-    )
+    summary = f"{instances} graphs (n <= 12): t - Delta <= sigma <= t, Delta above the averaging threshold"
+    return "sigma-sandwich", sandwich_bad == 0 and threshold_bad == 0, summary, data
 
 
-def check_degree_averaging(seed: int, quick: bool) -> CheckResult:
-    start = time.perf_counter()
+def check_degree_averaging(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     instances = 60 if quick else 300
     violations = 0
     for k in range(instances):
@@ -274,17 +224,11 @@ def check_degree_averaging(seed: int, quick: bool) -> CheckResult:
             if delta < delta_lower_bound(n, x, t):
                 violations += 1
     data = {"instances": instances, "violations": violations}
-    return _timed(
-        "missing-degree-averaging",
-        violations == 0,
-        f"{instances} graphs (n <= 20), all t: Delta >= 2nx/t^2 exactly",
-        data,
-        start,
-    )
+    summary = f"{instances} graphs (n <= 20), all t: Delta >= 2nx/t^2 exactly"
+    return "missing-degree-averaging", violations == 0, summary, data
 
 
-def check_degree_capped_clique_bound(seed: int, quick: bool) -> CheckResult:
-    start = time.perf_counter()
+def check_degree_capped_clique_bound(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     instances = 50 if quick else 500
     violations = 0
     used = 0
@@ -318,59 +262,32 @@ def check_degree_capped_clique_bound(seed: int, quick: bool) -> CheckResult:
         "violations": violations,
         "matching_equality_failures": equality_bad,
     }
-    return _timed(
-        "degree-capped-clique-bound",
-        violations == 0 and equality_bad == 0,
-        f"{used} graphs (t <= 14) within the cap bound; matching complements achieve equality",
-        data,
-        start,
-    )
+    summary = f"{used} graphs (t <= 14) within the cap bound; matching complements achieve equality"
+    return "degree-capped-clique-bound", violations == 0 and equality_bad == 0, summary, data
 
 
-def check_constant_case1(seed: int, quick: bool) -> CheckResult:
-    start = time.perf_counter()
+def check_constant_case1(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     sup = case1_supremum()
     ok = sup.log2_bound <= 1.64 + 1e-6
     data = {"supremum": sup.log2_bound, "c": sup.c_value, "d": sup.d_value}
-    return _timed(
-        "sparse-branch-constant",
-        ok,
-        f"sup = {sup.log2_bound:.6f} <= 1.64",
-        data,
-        start,
-    )
+    return "sparse-branch-constant", ok, f"sup = {sup.log2_bound:.6f} <= 1.64", data
 
 
-def check_constant_case2(seed: int, quick: bool) -> CheckResult:
-    start = time.perf_counter()
+def check_constant_case2(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     sup = case2_supremum()
     ok = sup.log2_bound <= 2.92 + 1e-6
     data = {"supremum": sup.log2_bound, "c": sup.c_value}
-    return _timed(
-        "dense-branch-constant",
-        ok,
-        f"sup = {sup.log2_bound:.6f} <= 2.92",
-        data,
-        start,
-    )
+    return "dense-branch-constant", ok, f"sup = {sup.log2_bound:.6f} <= 2.92", data
 
 
-def check_constant_coarse(seed: int, quick: bool) -> CheckResult:
-    start = time.perf_counter()
+def check_constant_coarse(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     result = optimize_constant("coarse")
     ok = abs(result.log2_bound - 3.0) <= 1e-6
     data = {"constant": result.log2_bound, "case": result.case_tag}
-    return _timed(
-        "coarse-constant",
-        ok,
-        f"coarse constant = {result.log2_bound:.6f} (trivial small-c branch)",
-        data,
-        start,
-    )
+    return "coarse-constant", ok, f"coarse constant = {result.log2_bound:.6f} (trivial small-c branch)", data
 
 
-def check_constant_refined(seed: int, quick: bool) -> CheckResult:
-    start = time.perf_counter()
+def check_constant_refined(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     result = optimize_constant("refined")
     ok = 1.70 <= result.log2_bound <= 1.8165
     data = {
@@ -379,13 +296,8 @@ def check_constant_refined(seed: int, quick: bool) -> CheckResult:
         "d": result.d_value,
         "case": result.case_tag,
     }
-    return _timed(
-        "refined-constant",
-        ok,
-        f"refined constant = {result.log2_bound:.6f} at c = {result.c_value:.4f}, D = {result.d_value}",
-        data,
-        start,
-    )
+    summary = f"refined constant = {result.log2_bound:.6f} at c = {result.c_value:.4f}, D = {result.d_value}"
+    return "refined-constant", ok, summary, data
 
 
 def _brute_t_param(g: Graph) -> int:
@@ -399,8 +311,7 @@ def _brute_t_param(g: Graph) -> int:
     return best
 
 
-def check_spot_values(seed: int, quick: bool) -> CheckResult:
-    start = time.perf_counter()
+def check_spot_values(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     bad = []
     c5 = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     if sigma_exhaustive(c5) != 3:
@@ -418,13 +329,7 @@ def check_spot_values(seed: int, quick: bool) -> CheckResult:
     if t_param(star).t_param != 6 or _brute_t_param(star) != 6:
         bad.append("t(star_of_clique(10,5)) != 6")
     data = {"failures": bad}
-    return _timed(
-        "spot-values",
-        not bad,
-        "sigma and t spot values match brute-force recomputation",
-        data,
-        start,
-    )
+    return "spot-values", not bad, "sigma and t spot values match brute-force recomputation", data
 
 
 CHECKS = (
@@ -446,8 +351,11 @@ CHECKS = (
 
 
 def _run_one(args: tuple[int, int, bool]) -> CheckResult:
+    """Run and time one check; each check returns (name, passed, summary, data)."""
     index, seed, quick = args
-    return CHECKS[index](seed, quick)
+    start = time.perf_counter()
+    outcome = CHECKS[index](seed, quick)
+    return CheckResult(*outcome, time.perf_counter() - start)
 
 
 def worker_count(threads: int) -> int:
@@ -465,6 +373,9 @@ def run_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> SuiteRepo
     jobs = [(i, seed, quick) for i in range(len(CHECKS))]
     threads = worker_count(threads)
     if threads > 1:
+        # imported here: only a pool needs it, and it costs every CLI command ~1 MB
+        from multiprocessing import Pool
+
         with Pool(processes=threads) as pool:
             results = pool.map(_run_one, jobs)
     else:

@@ -169,6 +169,24 @@ def test_bounds_rejects_parameters_outside_their_range(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--mode", "case1", "--d", "1"),
+        ("--mode", "case2", "--c", "3", "--d", "1"),
+        ("--mode", "refined", "--c", "3"),
+        ("--mode", "coarse", "--params", "1,2,3"),
+        ("--mode", "boundt", "--params", "10,4,1", "--c", "5"),
+        ("--mode", "case1", "--params", "10,4,1"),
+    ],
+)
+def test_bounds_rejects_flags_its_mode_does_not_read(capsys, argv):
+    code, out, err = run(capsys, "bounds", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")
+
+
 def test_bounds_valid_edge_parameters_still_run(capsys):
     code, out, _ = run(capsys, "bounds", "--mode", "boundt", "--params", "10,10,2", "--json")
     assert code == 0

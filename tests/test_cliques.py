@@ -1,4 +1,9 @@
+import inspect
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clique_extremal import (
     Graph,
@@ -11,7 +16,163 @@ from clique_extremal import (
     star_of_clique,
 )
 
+from clique_extremal.cliques import (
+    STOP_EXHAUSTED,
+    CliqueStats,
+    PeelingTrace,
+    _min_degree_vertex,
+)
+from clique_extremal.graph import iter_bits, reach
+from clique_extremal.limits import ORACLE_MAX_N, check_guard
+
 from conftest import brute_count_cliques, complete_graph, cycle_graph
+
+
+# The recursive counters as they were before both moved onto explicit stacks,
+# kept verbatim (only renamed) as references for the stack versions.
+
+
+def reference_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
+    """Exact clique count and clique number via independent sets of the
+    complement (cliques of G are exactly the independent sets of its
+    complement)."""
+    check_guard("count_cliques_oracle", g.n, ORACLE_MAX_N, limit_n)
+    if g.n == 0:
+        return CliqueStats(1, 0, 0)
+    comp = tuple(map(g.complement().adjacency_mask, range(g.n)))
+    memo: dict[int, tuple[int, int]] = {}
+
+    def solve(mask: int) -> tuple[int, int]:
+        """(number of independent sets including the empty one, independence
+        number) of the complement induced on ``mask``."""
+        if mask == 0:
+            return 1, 0
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        best_v = -1
+        best_d = -1
+        for v in iter_bits(mask):
+            d = (comp[v] & mask).bit_count()
+            if d > best_d:
+                best_v, best_d = v, d
+        if best_d == 0:
+            k = mask.bit_count()
+            result = (1 << k, k)
+        else:
+            piece = reach(comp, 1 << best_v, mask)
+            if piece != mask:
+                count_rest, alpha_rest = solve(mask & ~piece)
+                count_piece, alpha_piece = solve(piece)
+                result = (count_piece * count_rest, alpha_piece + alpha_rest)
+            else:
+                count_ex, alpha_ex = solve(mask & ~(1 << best_v))
+                count_in, alpha_in = solve(mask & ~(comp[best_v] | (1 << best_v)))
+                result = (count_ex + count_in, max(alpha_ex, 1 + alpha_in))
+        memo[mask] = result
+        return result
+
+    count, alpha = solve(g.full_mask)
+    return CliqueStats(count, count - 1, alpha)
+
+
+def reference_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
+    """Peeling enumeration: repeatedly pick a minimum degree vertex (lowest
+    index on ties), count the cliques containing it inside its
+    neighbourhood, then delete it. The trace records the outer loop; it runs
+    to exhaustion, so its stop reason is always clique-exhausted."""
+    n = g.n
+    adj = tuple(g.adjacency_mask(v) for v in range(n))
+    omega = 0
+
+    def count_within(mask: int, depth: int) -> int:
+        """Cliques including the empty one inside ``mask``; the current pick
+        chain has ``depth`` vertices. Deletions loop, so recursion depth is
+        bounded by the clique number."""
+        nonlocal omega
+        total = 1
+        residual = mask
+        while residual:
+            size = residual.bit_count()
+            v, d = _min_degree_vertex(adj, residual)
+            if d == size - 1:
+                if depth + size > omega:
+                    omega = depth + size
+                return total + (1 << size) - 1
+            total += count_within(adj[v] & residual, depth + 1)
+            residual &= ~(1 << v)
+        if depth > omega:
+            omega = depth
+        return total
+
+    picked: list[int] = []
+    sizes = [n]
+    missing_degrees: list[int] = []
+    total = 1
+    residual = g.full_mask
+    while residual:
+        size = residual.bit_count()
+        v, d = _min_degree_vertex(adj, residual)
+        picked.append(v)
+        missing_degrees.append(size - 1 - d)
+        total += count_within(adj[v] & residual, 1)
+        residual &= ~(1 << v)
+        sizes.append(size - 1)
+    trace = PeelingTrace(
+        picked=tuple(picked),
+        sizes=tuple(sizes),
+        missing_degrees=tuple(missing_degrees),
+        stop_reason=STOP_EXHAUSTED,
+        stop_index=len(sizes) - 1,
+    )
+    return CliqueStats(total, total - 1, omega), trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 14), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_stack_counters_match_the_recursive_references(n, p, seed):
+    g = random_graph(n, p, seed)
+    assert count_cliques_oracle(g) == reference_oracle(g)
+    assert count_cliques_peeling(g) == reference_peeling(g)
+
+
+def _path_complement(n: int) -> Graph:
+    return Graph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)]).complement()
+
+
+def test_oracle_counts_a_deep_path_complement():
+    # the independent sets of a path on n vertices number F(n + 2); the
+    # branch depth here is far beyond the default recursion limit
+    n = 1100
+    stats = count_cliques_oracle(_path_complement(n), limit_n=n)
+    a, b = 1, 1
+    for _ in range(n):
+        a, b = b, a + b
+    assert stats.count_including_empty == b
+    assert stats.clique_number == n // 2
+
+
+def test_counters_need_no_interpreter_stack():
+    # Ten frames above the caller's depth. The depth counts C calls as well
+    # as the frames that inspect.stack() sees, so start there and take the
+    # smallest limit setrecursionlimit accepts. The recursive counters need
+    # about fifteen frames more on this graph.
+    g = matching_complement(30)
+    old = sys.getrecursionlimit()
+    limit = len(inspect.stack())
+    try:
+        while True:
+            try:
+                sys.setrecursionlimit(limit)
+                break
+            except RecursionError:
+                limit += 1
+        sys.setrecursionlimit(limit + 10)
+        oracle = count_cliques_oracle(g)
+        peeling, _ = count_cliques_peeling(g)
+    finally:
+        sys.setrecursionlimit(old)
+    assert oracle == peeling == CliqueStats(3**15, 3**15 - 1, 15)
 
 
 def test_oracle_known_values():
