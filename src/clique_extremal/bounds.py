@@ -48,6 +48,8 @@ CASE_TRIVIAL = "trivial-small-c"
 CASE_REFINED = "refined-product"
 
 _LN2 = math.log(2.0)
+# Upper end of the c range that both branch suprema scan.
+_C_MAX = 1000.0
 
 
 class BoundtValue(NamedTuple):
@@ -115,19 +117,11 @@ def case1_exponent(c: float, d: float) -> float:
 
 
 def _case1_best_at(c: float) -> tuple[float, int]:
-    """Best admissible integer d strictly above delta = 2c(c-1)."""
-    delta = 2.0 * c * (c - 1.0)
-    d0 = max(1, math.floor(delta) + 1)
-    candidates = {d0, d0 + 1}
-    if d0 == 1:
-        candidates.add(2)
-    best_d = min(candidates)
-    best = case1_exponent(c, best_d)
-    for d in sorted(candidates):
-        value = case1_exponent(c, d)
-        if value > best + 1e-15:
-            best, best_d = value, d
-    return best, best_d
+    """Best admissible integer d strictly above delta = 2c(c-1): the first
+    one, d0, or d0 + 1 if it is larger by more than 1e-15."""
+    d0 = math.floor(2.0 * c * (c - 1.0)) + 1
+    v0, v1 = case1_exponent(c, d0), case1_exponent(c, d0 + 1)
+    return (v1, d0 + 1) if v1 > v0 + 1e-15 else (v0, d0)
 
 
 def case2_exponent(c: float) -> float:
@@ -151,6 +145,10 @@ def case2_exponent(c: float) -> float:
 
 # Largest ceil(delta) the g evaluator accepts; the table below grows to it.
 _MAX_DELTA = 5_000_000
+# Largest d that g_bound accepts: it evaluates every D up to d.
+_MAX_D = 100_000
+# Slack of g_recursion_check's comparisons.
+_RECURSION_TOL = 1e-9
 
 # prefix[h] = sum of log2(h'+1)/h' for h' = 1..h, 8 bytes an entry
 _log_ratio_prefix = array("d", [0.0, 1.0])
@@ -200,6 +198,8 @@ def g_bound(m: int, x: int, t: int, d: int) -> BoundResult:
     (an O(log^2 delta) term) is never folded into the main bound."""
     if t < 1 or x < 1 or d < 1 or m < t:
         raise ValueError(f"need t >= 1, x >= 1, d >= 1, m >= t; got m={m}, x={x}, t={t}, d={d}")
+    if d > _MAX_D:
+        raise ValueError(f"d = {d} is beyond the evaluator's scale")
     lo = max(1, -(-2 * x // t))
     if lo > d:
         raise ValueError(f"empty D range: ceil(2x/t) = {lo} exceeds d = {d}")
@@ -219,7 +219,7 @@ def g_bound(m: int, x: int, t: int, d: int) -> BoundResult:
     )
 
 
-def g_recursion_check(m: int, x: int, t: int, d: int, tol: float = 1e-9) -> RecursionCheck:
+def g_recursion_check(m: int, x: int, t: int, d: int) -> RecursionCheck:
     """Numeric diagnostics of the evaluator around a base point: monotone
     increasing in m, t and d, decreasing in x, and the peel-step recursion
     g(m,x,t,d) <= (D1+1) * g(m-D1,x,t,D1) for some admissible D1.
@@ -243,16 +243,16 @@ def g_recursion_check(m: int, x: int, t: int, d: int, tol: float = 1e-9) -> Recu
         return RecursionCheck(False, (f"base point ({m},{x},{t},{d}) is invalid",))
     for mm in (m + 1, m + 2):
         nxt = value(mm, x, t, d)
-        if nxt is not None and nxt < value(mm - 1, x, t, d) - tol:
+        if nxt is not None and nxt < value(mm - 1, x, t, d) - _RECURSION_TOL:
             failures.append(f"not monotone in m at m = {mm}")
     up_x = value(m, x + 1, t, d)
-    if up_x is not None and up_x > base + tol:
+    if up_x is not None and up_x > base + _RECURSION_TOL:
         failures.append(f"not monotone decreasing in x at x = {x + 1}")
     up_t = value(m, x, t + 1, d)
-    if up_t is not None and up_t < base - tol:
+    if up_t is not None and up_t < base - _RECURSION_TOL:
         failures.append(f"not monotone in t at t = {t + 1}")
     up_d = value(m, x, t, d + 1)
-    if up_d is not None and up_d < base - tol:
+    if up_d is not None and up_d < base - _RECURSION_TOL:
         failures.append(f"not monotone in d at d = {d + 1}")
 
     lo = max(1, -(-2 * x // t))
@@ -263,7 +263,7 @@ def g_recursion_check(m: int, x: int, t: int, d: int, tol: float = 1e-9) -> Recu
         inner = value(m - delta1, x, t, delta1)
         if inner is None:
             continue
-        if base <= math.log2(delta1 + 1.0) + inner + tol:
+        if base <= math.log2(delta1 + 1.0) + inner + _RECURSION_TOL:
             recursion_holds = True
             break
     if not recursion_holds:
@@ -299,20 +299,20 @@ def _grid_zoom_max(
     return best_c, best_v
 
 
-def case1_supremum(c_max: float = 1000.0) -> BoundResult:
+def case1_supremum() -> BoundResult:
     """sup over c > 1 of the sparse-branch exponent at its best admissible
     integer d; stays below 1.64."""
 
     def objective(c: float) -> float:
         return _case1_best_at(c)[0]
 
-    c0, v0 = _grid_zoom_max(objective, 1.0 + 1e-6, c_max)
+    c0, v0 = _grid_zoom_max(objective, 1.0 + 1e-6, _C_MAX)
     return BoundResult(v0, v0, CASE_ABOVE, c0, _case1_best_at(c0)[1])
 
 
-def case2_supremum(c_max: float = 1000.0) -> BoundResult:
+def case2_supremum() -> BoundResult:
     """sup over c >= 3 of the dense-branch closed form; stays below 2.92."""
-    c0, v0 = _grid_zoom_max(case2_exponent, 3.0, c_max)
+    c0, v0 = _grid_zoom_max(case2_exponent, 3.0, _C_MAX)
     return BoundResult(v0, v0, CASE_BELOW, c0, None)
 
 

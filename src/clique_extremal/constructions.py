@@ -67,15 +67,11 @@ def disjoint_union_matching_complements(n: int, t: int) -> Graph:
     sizes = [block] * (n // block)
     if n % block:
         sizes.append(n % block)
-    edges = []
-    offset = 0
+    rows: list[int] = []
     for size in sizes:
-        for u in range(size):
-            for v in range(u + 1, size):
-                if u ^ 1 != v:
-                    edges.append((offset + u, offset + v))
-        offset += size
-    return Graph.from_edge_list(n, edges)
+        mc, offset = matching_complement(size), len(rows)
+        rows.extend(mc.adjacency_mask(v) << offset for v in range(size))
+    return Graph(n, rows)
 
 
 def immersion_tightness(n: int, t: int) -> tuple[Graph, frozenset[int]]:

@@ -79,25 +79,7 @@ def immerse_dense(g: Graph, terminals: Iterable[int]) -> Certificate:
                 f"terminal {v} has missing degree {g.missing_degree(v)}, "
                 f"needs < (n - t + 2)/2 = {(n - t + 2) / 2}"
             )
-    avail = [g.adjacency_mask(v) for v in range(n)]
-    outside = g.full_mask & ~t_mask
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
-    for u, v in combinations(t_set, 2):
-        if g.has_edge(u, v):
-            paths[(u, v)] = (u, v)
-    for u, v in combinations(t_set, 2):
-        if g.has_edge(u, v):
-            continue
-        candidates = avail[u] & avail[v] & outside
-        if not candidates:
-            raise AssertionError(f"no free common neighbour left for pair ({u}, {v})")
-        w = (candidates & -candidates).bit_length() - 1
-        avail[u] &= ~(1 << w)
-        avail[w] &= ~(1 << u)
-        avail[v] &= ~(1 << w)
-        avail[w] &= ~(1 << v)
-        paths[(u, v)] = (u, w, v)
-    return Certificate(KIND_STRONG, frozenset(t_set), paths)
+    return _route_dense(g, t_set, t_mask, KIND_STRONG)
 
 
 def subdivide_dense(g: Graph, terminals: Iterable[int]) -> Certificate:
@@ -121,20 +103,30 @@ def subdivide_dense(g: Graph, terminals: Iterable[int]) -> Certificate:
             f"{missing} missing edges inside the terminal set exceed "
             f"n - t - 2*Delta = {n} - {t} - 2*{delta} = {budget}"
         )
+    return _route_dense(g, t_set, t_mask, KIND_SUBDIVISION)
+
+
+def _route_dense(g: Graph, t_set: list[int], t_mask: int, kind: str) -> Certificate:
+    """Join the terminal pairs in lexicographic order, each by its direct edge
+    or else through the lowest-indexed free common neighbour w outside the
+    terminals; ``free[x]`` holds the outside neighbours terminal x may still
+    route through. A subdivision route uses up the vertex w (w leaves every
+    row), an immersion route the edges u-w and w-v (the rows of u and v)."""
     outside = g.full_mask & ~t_mask
-    used = 0
+    free = {x: g.adjacency_mask(x) & outside for x in t_set}
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     for u, v in combinations(t_set, 2):
         if g.has_edge(u, v):
             paths[(u, v)] = (u, v)
             continue
-        candidates = g.adjacency_mask(u) & g.adjacency_mask(v) & outside & ~used
+        candidates = free[u] & free[v]
         if not candidates:
-            raise AssertionError(f"no unused common neighbour left for pair ({u}, {v})")
+            raise AssertionError(f"no free common neighbour left for pair ({u}, {v})")
         w = (candidates & -candidates).bit_length() - 1
-        used |= 1 << w
+        for x in t_set if kind == KIND_SUBDIVISION else (u, v):
+            free[x] &= ~(1 << w)
         paths[(u, v)] = (u, w, v)
-    return Certificate(KIND_SUBDIVISION, frozenset(t_set), paths)
+    return Certificate(kind, frozenset(t_set), paths)
 
 
 # -- verifiers ----------------------------------------------------------------

@@ -116,6 +116,48 @@ def test_case1_supremum_below_164():
     assert sup.log2_bound > 1.5  # sanity: the bound is not vacuous
 
 
+def reference_case1_best_at(c):
+    """The earlier rule, kept verbatim as the reference: a candidate set
+    with a d = 2 that d0 + 1 already is when d0 = 1."""
+    delta = 2.0 * c * (c - 1.0)
+    d0 = max(1, math.floor(delta) + 1)
+    candidates = {d0, d0 + 1}
+    if d0 == 1:
+        candidates.add(2)
+    best_d = min(candidates)
+    best = case1_exponent(c, best_d)
+    for d in sorted(candidates):
+        value = case1_exponent(c, d)
+        if value > best + 1e-15:
+            best, best_d = value, d
+    return best, best_d
+
+
+def test_case1_rule_matches_the_reference_on_the_first_grid():
+    # the 401 points of the first round of case1_supremum's grid
+    lo, hi = 1.0 + 1e-6, 1000.0
+    for i in range(401):
+        c = lo + (hi - lo) * i / 400
+        assert bounds._case1_best_at(c) == reference_case1_best_at(c), c
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=1.0, max_value=1e6, exclude_min=True))
+def test_case1_rule_matches_the_reference(c):
+    assert bounds._case1_best_at(c) == reference_case1_best_at(c)
+
+
+def test_branch_suprema_are_pinned():
+    assert repr(case1_supremum()) == (
+        "BoundResult(log2_bound=1.610822430521916, per_t_exponent=1.610822430521916, "
+        "case_tag='above-delta', c_value=2.8979157616560522, d_value=11, slack_log2=0.0)"
+    )
+    assert repr(case2_supremum()) == (
+        "BoundResult(log2_bound=2.9104823522738577, per_t_exponent=2.9104823522738577, "
+        "case_tag='at-most-delta', c_value=3.59459022519016, d_value=None, slack_log2=0.0)"
+    )
+
+
 def test_case2_spot_values():
     assert math.isclose(case2_exponent(3.0), 2.8680583326, abs_tol=1e-8)
     assert case2_exponent(10 ** 6) < 1.05
@@ -215,6 +257,16 @@ def test_g_bound_rejects_delta_beyond_scale_before_growing_the_table():
     check = g_recursion_check(6_000_000, 50, 10, 10)
     assert not check.passed
     assert "invalid" in check.failures[0]
+
+
+def test_g_bound_rejects_d_beyond_scale_before_the_scan():
+    # every D in [ceil(2x/t), d] costs a few microseconds, so d = 10^9
+    # would run for about an hour
+    with pytest.raises(ValueError, match="d = 100001 is beyond the evaluator's scale"):
+        g_bound(10 ** 6, 1, 1, bounds._MAX_D + 1)
+    check = g_recursion_check(10 ** 6, 1, 1, 10 ** 9)
+    assert not check.passed
+    assert check.failures == ("base point (1000000,1,1,1000000000) is invalid",)
 
 
 def test_log_ratio_table_costs_eight_bytes_an_entry(monkeypatch):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,6 +198,21 @@ def test_bounds_valid_edge_parameters_still_run(capsys):
     assert json.loads(out)["D"] == 13
 
 
+def test_recursion_check_beyond_the_d_limit_ends_at_once():
+    # g_bound evaluates every D up to d, so without its limit on d this runs
+    # for about an hour; a subprocess with a timeout turns that into a failure
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["bounds", "--mode", "recursion-check", "--params", "1000000,1,1,1000000000"]
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "clique_extremal.cli", *argv], env=env, capture_output=True, timeout=30
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("recursion-check at d = 10^9 did not finish within 30 s")
+    assert done.returncode == 1
+    assert b"is invalid" in done.stdout
+
+
 def test_params_approx_beyond_guard(capsys, tmp_path):
     from clique_extremal import random_graph
 
@@ -313,6 +330,15 @@ def test_verify_paper_full_json_matches_capture(capsys):
     # the same at full size: every check, not only the quick ones
     expected = (Path(__file__).parent / "data" / "verify_paper_seed0.json").read_text()
     code, out, _ = run(capsys, "verify-paper", "--seed", "0", "--json")
+    assert code == 0
+    assert out == expected
+
+
+def test_verify_paper_with_two_workers_matches_capture(capsys, monkeypatch):
+    # two processors, so the pool runs even on a one-core host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    expected = (Path(__file__).parent / "data" / "verify_paper_seed0_quick.json").read_text()
+    code, out, _ = run(capsys, "verify-paper", "--seed", "0", "--quick", "--json", "--threads", "2")
     assert code == 0
     assert out == expected
 

@@ -1,6 +1,7 @@
 import pytest
 
 from clique_extremal import (
+    Graph,
     count_cliques_oracle,
     disjoint_union_matching_complements,
     immersion_tightness,
@@ -87,6 +88,49 @@ def test_union_rejects_bad_params():
         disjoint_union_matching_complements(2, 9)  # below 4t/3
     with pytest.raises(ValueError):
         disjoint_union_matching_complements(13, 9)  # odd
+
+
+def reference_union(n: int, t: int) -> Graph:
+    """The earlier union, kept verbatim as the reference: it derives the
+    edges of each matching-complement block by hand."""
+    if t < 2:
+        raise ValueError(f"disjoint_union_matching_complements needs t >= 2, got t = {t}")
+    if n % 2:
+        raise ValueError(f"even n required to split into matching complements, got n = {n}")
+    if 3 * n < 4 * t:
+        raise ValueError(f"need n >= 4t/3, got n = {n}, t = {t}")
+    block = _matching_block_size(t)
+    sizes = [block] * (n // block)
+    if n % block:
+        sizes.append(n % block)
+    edges = []
+    offset = 0
+    for size in sizes:
+        for u in range(size):
+            for v in range(u + 1, size):
+                if u ^ 1 != v:
+                    edges.append((offset + u, offset + v))
+        offset += size
+    return Graph.from_edge_list(n, edges)
+
+
+def _union_or_error(build, n, t):
+    try:
+        return build(n, t)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_union_matches_the_reference_for_every_size_below_120():
+    # every valid (n, t) with n < 120 (even n, 2 <= t <= 3n/4), and the
+    # error message of every invalid one up to t = 92
+    graphs = 0
+    for n in range(120):
+        for t in range(93):
+            got = _union_or_error(disjoint_union_matching_complements, n, t)
+            assert got == _union_or_error(reference_union, n, t), (n, t)
+            graphs += isinstance(got, Graph)
+    assert graphs == 2581
 
 
 def test_immersion_tightness_shape():

@@ -33,6 +33,8 @@ from clique_extremal import (
 )
 
 import clique_extremal
+from clique_extremal import suite
+from clique_extremal.embed import KIND_STRONG, KIND_SUBDIVISION
 from clique_extremal.graph import iter_bits, reach, simple_paths, vertex_mask
 
 from conftest import complete_graph, cycle_graph
@@ -99,6 +101,110 @@ def test_subdivide_dense_rejects_with_instantiated_inequality():
     g, _ = immersion_tightness(10, 4)  # max missing degree 4, hopeless budget
     with pytest.raises(PreconditionViolation, match=r"n - t - 2\*Delta"):
         subdivide_dense(g, [0, 1, 2, 3])
+
+
+# -- both dense embedders against the earlier two-loop versions ---------------
+
+
+def reference_immerse_dense(g: Graph, terminals) -> Certificate:
+    """The earlier immersion embedder, kept verbatim as the reference: its
+    own routing loop over an edge-availability overlay."""
+    t_set = sorted(set(terminals))
+    t_mask = vertex_mask(t_set, g.n)
+    n, t = g.n, len(t_set)
+    for v in t_set:
+        if 2 * g.missing_degree(v) >= n - t + 2:
+            raise PreconditionViolation(
+                f"terminal {v} has missing degree {g.missing_degree(v)}, "
+                f"needs < (n - t + 2)/2 = {(n - t + 2) / 2}"
+            )
+    avail = [g.adjacency_mask(v) for v in range(n)]
+    outside = g.full_mask & ~t_mask
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    for u, v in combinations(t_set, 2):
+        if g.has_edge(u, v):
+            paths[(u, v)] = (u, v)
+    for u, v in combinations(t_set, 2):
+        if g.has_edge(u, v):
+            continue
+        candidates = avail[u] & avail[v] & outside
+        if not candidates:
+            raise AssertionError(f"no free common neighbour left for pair ({u}, {v})")
+        w = (candidates & -candidates).bit_length() - 1
+        avail[u] &= ~(1 << w)
+        avail[w] &= ~(1 << u)
+        avail[v] &= ~(1 << w)
+        avail[w] &= ~(1 << v)
+        paths[(u, v)] = (u, w, v)
+    return Certificate(KIND_STRONG, frozenset(t_set), paths)
+
+
+def reference_subdivide_dense(g: Graph, terminals) -> Certificate:
+    """The earlier subdivision embedder, kept verbatim as the reference: its
+    own routing loop over a mask of used outside vertices."""
+    t_set = sorted(set(terminals))
+    t_mask = vertex_mask(t_set, g.n)
+    n, t = g.n, len(t_set)
+    delta = g.max_missing_degree() if n else 0
+    missing = g.missing_edges_within_mask(t_mask)
+    budget = n - t - 2 * delta
+    if missing > budget:
+        raise PreconditionViolation(
+            f"{missing} missing edges inside the terminal set exceed "
+            f"n - t - 2*Delta = {n} - {t} - 2*{delta} = {budget}"
+        )
+    outside = g.full_mask & ~t_mask
+    used = 0
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    for u, v in combinations(t_set, 2):
+        if g.has_edge(u, v):
+            paths[(u, v)] = (u, v)
+            continue
+        candidates = g.adjacency_mask(u) & g.adjacency_mask(v) & outside & ~used
+        if not candidates:
+            raise AssertionError(f"no unused common neighbour left for pair ({u}, {v})")
+        w = (candidates & -candidates).bit_length() - 1
+        used |= 1 << w
+        paths[(u, v)] = (u, w, v)
+    return Certificate(KIND_SUBDIVISION, frozenset(t_set), paths)
+
+
+def _outcome(embed, g, terminals):
+    """The certificate, or the message of the precondition it reports."""
+    try:
+        return embed(g, terminals)
+    except PreconditionViolation as exc:
+        return f"PreconditionViolation: {exc}"
+
+
+@st.composite
+def dense_graph_with_terminals(draw):
+    """A complete graph minus a few drawn non-edges, and a terminal set: both
+    preconditions hold on some draws and fail on others."""
+    n = draw(st.integers(2, 16))
+    pairs = list(combinations(range(n), 2))
+    removed = draw(st.sets(st.sampled_from(pairs), max_size=2 * n))
+    g = Graph.from_edge_list(n, [pair for pair in pairs if pair not in removed])
+    return g, draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dense_graph_with_terminals())
+def test_dense_embedders_match_the_reference(instance):
+    g, terminals = instance
+    for embed, reference in ((immerse_dense, reference_immerse_dense), (subdivide_dense, reference_subdivide_dense)):
+        assert _outcome(embed, g, terminals) == _outcome(reference, g, terminals)
+
+
+def test_dense_embedders_match_the_reference_on_the_suite_instances():
+    # the dense instances of both embedder checks of verify-paper at seed 0
+    for label, kind, embed, reference in (
+        ("immersion-sound", "immersion", immerse_dense, reference_immerse_dense),
+        ("subdivision-sound", "subdivision", subdivide_dense, reference_subdivide_dense),
+    ):
+        for k in range(500):
+            g, terminals = suite._dense_instance_with_terminals(suite._rng(0, label, k), kind)
+            assert embed(g, terminals) == reference(g, terminals), (label, k)
 
 
 # -- verifiers -----------------------------------------------------------------
