@@ -20,6 +20,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -174,11 +175,10 @@ def g_case_log2(m: int, x: int, t: int, big_d: int) -> tuple[float, float, str]:
     times the degree-capped clique bound; above delta it is
     (D+1)^((m-t)/D + 1) times that clique bound.
     """
-    delta = Fraction(2 * x * m, t * t)
-    if big_d > delta:
+    if big_d * t * t > 2 * x * m:  # D > delta, in integers
         main = ((m - t) / big_d + 1.0) * math.log2(big_d + 1.0) + _boundt_log2(t, x, big_d)
         return main, 0.0, CASE_ABOVE
-    ceil_delta = math.ceil(delta)
+    ceil_delta = -(-2 * x * m // (t * t))
     if ceil_delta > _MAX_DELTA:
         raise ValueError(f"delta = {ceil_delta} is beyond the evaluator's scale")
     t2_over_2x = t * t / (2.0 * x)
@@ -203,12 +203,10 @@ def g_bound(m: int, x: int, t: int, d: int) -> BoundResult:
     lo = max(1, -(-2 * x // t))
     if lo > d:
         raise ValueError(f"empty D range: ceil(2x/t) = {lo} exceeds d = {d}")
-    best = None
-    for big_d in range(lo, d + 1):
-        main, slack, tag = g_case_log2(m, x, t, big_d)
-        if best is None or main > best[0]:
-            best = (main, slack, tag, big_d)
-    main, slack, tag, big_d = best
+    # max keeps the first of equal maxima: the smallest such D
+    main, slack, tag, big_d = max(
+        (g_case_log2(m, x, t, big_d) + (big_d,) for big_d in range(lo, d + 1)), key=itemgetter(0)
+    )
     return BoundResult(
         log2_bound=main,
         per_t_exponent=main / t,
@@ -241,10 +239,12 @@ def g_recursion_check(m: int, x: int, t: int, d: int) -> RecursionCheck:
     base = value(m, x, t, d)
     if base is None:
         return RecursionCheck(False, (f"base point ({m},{x},{t},{d}) is invalid",))
+    prev = base
     for mm in (m + 1, m + 2):
         nxt = value(mm, x, t, d)
-        if nxt is not None and nxt < value(mm - 1, x, t, d) - _RECURSION_TOL:
+        if nxt is not None and nxt < prev - _RECURSION_TOL:
             failures.append(f"not monotone in m at m = {mm}")
+        prev = nxt  # None only if every larger m is invalid too: delta grows with m
     up_x = value(m, x + 1, t, d)
     if up_x is not None and up_x > base + _RECURSION_TOL:
         failures.append(f"not monotone decreasing in x at x = {x + 1}")
@@ -257,9 +257,7 @@ def g_recursion_check(m: int, x: int, t: int, d: int) -> RecursionCheck:
 
     lo = max(1, -(-2 * x // t))
     recursion_holds = False
-    for delta1 in range(lo, d + 1):
-        if m - delta1 < t:
-            continue
+    for delta1 in range(lo, min(d, m - t) + 1):
         inner = value(m - delta1, x, t, delta1)
         if inner is None:
             continue

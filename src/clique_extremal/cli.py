@@ -289,7 +289,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         return 0 if check.passed else 1
     if mode == "case1":
         if args.c is not None:
-            d = args.d if args.d is not None else max(1, int(2 * args.c * (args.c - 1)) + 1)
+            d = args.d if args.d is not None else int(2 * args.c * (args.c - 1)) + 1
             value = case1_exponent(args.c, d)
             result_c, result_d = args.c, d
         else:

@@ -89,23 +89,18 @@ def immersion_tightness(n: int, t: int) -> tuple[Graph, frozenset[int]]:
     if n <= t or (n - t) % 2:
         raise ValueError(f"immersion_tightness needs n - t even and positive, got n = {n}, t = {t}")
     half = (n - t) // 2
-    s1 = range(t, t + half)
-    s2 = range(t + half, n)
-    edges = []
-    for u in range(t):
-        for v in range(u + 1, t):
-            if (u, v) != (0, 1):
-                edges.append((u, v))
-    for block in (s1, s2):
-        for u in block:
-            for v in block:
-                if u < v:
-                    edges.append((u, v))
-    for w in s1:
-        edges.extend((term, w) for term in range(t) if term != 1)
-    for w in s2:
-        edges.extend((term, w) for term in range(t) if term != 0)
-    return Graph.from_edge_list(n, edges), frozenset(range(t))
+    terms, s1 = (1 << t) - 1, ((1 << half) - 1) << t
+    s2 = s1 << half
+    # (vertices, row) in vertex order: 0, 1, the other terminals, S1, S2
+    blocks = (
+        (1, terms & ~3 | s1),
+        (1, terms & ~3 | s2),
+        (t - 2, terms | s1 | s2),
+        (half, s1 | terms & ~2),
+        (half, s2 | terms & ~1),
+    )
+    rows = [row for count, row in blocks for _ in range(count)]
+    return Graph(n, (row & ~(1 << v) for v, row in enumerate(rows))), frozenset(range(t))
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:

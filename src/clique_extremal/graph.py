@@ -126,11 +126,6 @@ class Graph:
             raise ValueError("max_missing_degree is undefined on the empty graph")
         return max(self.missing_degree(v) for v in range(self.n))
 
-    def min_degree(self) -> int:
-        if self.n == 0:
-            raise ValueError("min_degree is undefined on the empty graph")
-        return min(self.degree(v) for v in range(self.n))
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._adj[u] >> v & 1)
 

@@ -18,6 +18,7 @@ import math
 import os
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -68,6 +69,15 @@ def _rng(seed: int, tag: str, k: int) -> random.Random:
     return random.Random(f"{seed}:{tag}:{k}")
 
 
+def _random_graphs(seed: int, tag: str, count: int, n_max: int) -> Iterator[Graph]:
+    """``count`` seeded G(n, p) graphs, 4 <= n <= n_max, p from ``_DENSITIES``."""
+    for k in range(count):
+        rng = _rng(seed, tag, k)
+        n = rng.randint(4, n_max)
+        p = rng.choice(_DENSITIES)
+        yield random_graph(n, p, rng.randrange(2**32))
+
+
 # -- individual checks --------------------------------------------------------
 
 
@@ -75,11 +85,7 @@ def check_peeling_vs_oracle(seed: int, quick: bool) -> tuple[str, bool, str, dic
     instances = 100 if quick else 1000
     mismatches = 0
     fingerprint = 0
-    for k in range(instances):
-        rng = _rng(seed, "oracle-eq", k)
-        n = rng.randint(4, 20)
-        p = rng.choice(_DENSITIES)
-        g = random_graph(n, p, rng.randrange(2**32))
+    for g in _random_graphs(seed, "oracle-eq", instances, 20):
         a = count_cliques_oracle(g)
         b, _ = count_cliques_peeling(g)
         if a != b:
@@ -142,32 +148,29 @@ def _dense_instance_with_terminals(rng: random.Random, kind: str):
     raise AssertionError(f"rejection sampling for {kind} instances failed to converge")
 
 
-def check_immersion_embedder(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
+def _check_embedder(seed: int, quick: bool, kind: str, embed, verify, summary: str) -> tuple[str, bool, str, dict]:
+    """Embed every seeded dense instance of ``kind``; each certificate must
+    pass ``verify`` with routes of length at most 2."""
     instances = 50 if quick else 500
     failures = 0
     for k in range(instances):
-        g, terminals = _dense_instance_with_terminals(_rng(seed, "immersion-sound", k), "immersion")
-        cert = immerse_dense(g, terminals)
-        ok = verify_immersion(g, cert, "strong")
-        if not ok or any(len(route) > 3 for route in cert.paths.values()):
+        g, terminals = _dense_instance_with_terminals(_rng(seed, f"{kind}-sound", k), kind)
+        cert = embed(g, terminals)
+        if not verify(g, cert) or any(len(route) > 3 for route in cert.paths.values()):
             failures += 1
     data = {"instances": instances, "failures": failures}
-    summary = f"{instances} dense instances, all certificates strong with paths of length <= 2"
-    return "immersion-embedder-soundness", failures == 0, summary, data
+    return f"{kind}-embedder-soundness", failures == 0, f"{instances} dense instances, {summary}", data
+
+
+def check_immersion_embedder(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
+    # verify_immersion checks the strong mode by default
+    summary = "all certificates strong with paths of length <= 2"
+    return _check_embedder(seed, quick, "immersion", immerse_dense, verify_immersion, summary)
 
 
 def check_subdivision_embedder(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
-    instances = 50 if quick else 500
-    failures = 0
-    for k in range(instances):
-        g, terminals = _dense_instance_with_terminals(_rng(seed, "subdivision-sound", k), "subdivision")
-        cert = subdivide_dense(g, terminals)
-        ok = verify_subdivision(g, cert)
-        if not ok or any(len(route) > 3 for route in cert.paths.values()):
-            failures += 1
-    data = {"instances": instances, "failures": failures}
-    summary = f"{instances} dense instances, all subdivision certificates valid"
-    return "subdivision-embedder-soundness", failures == 0, summary, data
+    summary = "all subdivision certificates valid"
+    return _check_embedder(seed, quick, "subdivision", subdivide_dense, verify_subdivision, summary)
 
 
 def check_immersion_tightness(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
@@ -189,17 +192,13 @@ def check_sigma_sandwich(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     instances = 60 if quick else 300
     sandwich_bad = 0
     threshold_bad = 0
-    for k in range(instances):
-        rng = _rng(seed, "sigma-sandwich", k)
-        n = rng.randint(4, 12)
-        p = rng.choice(_DENSITIES)
-        g = random_graph(n, p, rng.randrange(2**32))
+    for g in _random_graphs(seed, "sigma-sandwich", instances, 12):
         sigma = sigma_exhaustive(g)
         rep = t_param(g)
         if not rep.t_param - rep.delta <= sigma <= rep.t_param:
             sandwich_bad += 1
-        for t in range(sigma + 1, n + 1):
-            if not Fraction(rep.delta) > delta_threshold_no_subdivision(n, t):
+        for t in range(sigma + 1, g.n + 1):
+            if not rep.delta > delta_threshold_no_subdivision(g.n, t):
                 threshold_bad += 1
     data = {
         "instances": instances,
@@ -213,15 +212,11 @@ def check_sigma_sandwich(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
 def check_degree_averaging(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     instances = 60 if quick else 300
     violations = 0
-    for k in range(instances):
-        rng = _rng(seed, "degree-avg", k)
-        n = rng.randint(4, 20)
-        p = rng.choice(_DENSITIES)
-        g = random_graph(n, p, rng.randrange(2**32))
-        delta = Fraction(g.max_missing_degree())
-        for t in range(1, n + 1):
+    for g in _random_graphs(seed, "degree-avg", instances, 20):
+        delta = g.max_missing_degree()
+        for t in range(1, g.n + 1):
             x, _ = min_tset_missing(g, t)
-            if delta < delta_lower_bound(n, x, t):
+            if delta < delta_lower_bound(g.n, x, t):
                 violations += 1
     data = {"instances": instances, "violations": violations}
     summary = f"{instances} graphs (n <= 20), all t: Delta >= 2nx/t^2 exactly"
@@ -245,7 +240,7 @@ def check_degree_capped_clique_bound(seed: int, quick: bool) -> tuple[str, bool,
         cap = g.max_missing_degree()
         stats = count_cliques_oracle(g)
         bt = boundt_value(t, x, cap)
-        if Fraction(stats.clique_number) > bt.clique_number_bound:
+        if stats.clique_number > bt.clique_number_bound:
             violations += 1
         if cap == 1:
             if stats.count_including_empty > 2 ** (t - x) * Fraction(3, 2) ** x:

@@ -248,6 +248,171 @@ def test_g_recursion_check_golden():
         assert {"passed": check.passed, "failures": list(check.failures)} == entry["result"], entry["params"]
 
 
+# -- the g evaluators against the earlier versions -----------------------------
+
+
+def reference_g_case_log2(m, x, t, big_d):
+    """The earlier per-D evaluator, kept verbatim as the reference: it
+    builds a Fraction for delta at every D."""
+    delta = Fraction(2 * x * m, t * t)
+    if big_d > delta:
+        main = ((m - t) / big_d + 1.0) * math.log2(big_d + 1.0) + bounds._boundt_log2(t, x, big_d)
+        return main, 0.0, "above-delta"
+    ceil_delta = math.ceil(delta)
+    if ceil_delta > bounds._MAX_DELTA:
+        raise ValueError(f"delta = {ceil_delta} is beyond the evaluator's scale")
+    t2_over_2x = t * t / (2.0 * x)
+    product = bounds._log_ratio_sum(big_d + 1, ceil_delta)
+    main = (
+        t2_over_2x * product
+        + (t2_over_2x - t / big_d) * math.log2(big_d + 1.0)
+        + bounds._boundt_log2(t, x, big_d)
+    )
+    return main, product, "at-most-delta"
+
+
+def reference_g_bound(m, x, t, d):
+    """The earlier scan, kept verbatim as the reference: a strict > update."""
+    if t < 1 or x < 1 or d < 1 or m < t:
+        raise ValueError(f"need t >= 1, x >= 1, d >= 1, m >= t; got m={m}, x={x}, t={t}, d={d}")
+    if d > bounds._MAX_D:
+        raise ValueError(f"d = {d} is beyond the evaluator's scale")
+    lo = max(1, -(-2 * x // t))
+    if lo > d:
+        raise ValueError(f"empty D range: ceil(2x/t) = {lo} exceeds d = {d}")
+    best = None
+    for big_d in range(lo, d + 1):
+        main, slack, tag = reference_g_case_log2(m, x, t, big_d)
+        if best is None or main > best[0]:
+            best = (main, slack, tag, big_d)
+    main, slack, tag, big_d = best
+    return bounds.BoundResult(
+        log2_bound=main,
+        per_t_exponent=main / t,
+        case_tag=tag,
+        c_value=m / t,
+        d_value=big_d,
+        slack_log2=slack,
+    )
+
+
+def reference_g_recursion_check(m, x, t, d):
+    """The earlier check, kept verbatim as the reference: it evaluates m and
+    m + 1 twice, and skips each Delta_1 with m - Delta_1 < t in the loop."""
+    failures = []
+
+    def value(mm, xx, tt, dd):
+        try:
+            return reference_g_bound(mm, xx, tt, dd).log2_bound
+        except ValueError:
+            return None
+
+    base = value(m, x, t, d)
+    if base is None:
+        return bounds.RecursionCheck(False, (f"base point ({m},{x},{t},{d}) is invalid",))
+    for mm in (m + 1, m + 2):
+        nxt = value(mm, x, t, d)
+        if nxt is not None and nxt < value(mm - 1, x, t, d) - bounds._RECURSION_TOL:
+            failures.append(f"not monotone in m at m = {mm}")
+    up_x = value(m, x + 1, t, d)
+    if up_x is not None and up_x > base + bounds._RECURSION_TOL:
+        failures.append(f"not monotone decreasing in x at x = {x + 1}")
+    up_t = value(m, x, t + 1, d)
+    if up_t is not None and up_t < base - bounds._RECURSION_TOL:
+        failures.append(f"not monotone in t at t = {t + 1}")
+    up_d = value(m, x, t, d + 1)
+    if up_d is not None and up_d < base - bounds._RECURSION_TOL:
+        failures.append(f"not monotone in d at d = {d + 1}")
+
+    lo = max(1, -(-2 * x // t))
+    recursion_holds = False
+    for delta1 in range(lo, d + 1):
+        if m - delta1 < t:
+            continue
+        inner = value(m - delta1, x, t, delta1)
+        if inner is None:
+            continue
+        if base <= math.log2(delta1 + 1.0) + inner + bounds._RECURSION_TOL:
+            recursion_holds = True
+            break
+    if not recursion_holds:
+        failures.append("no admissible Delta_1 satisfies the peel-step recursion")
+    return bounds.RecursionCheck(not failures, tuple(failures))
+
+
+def _outcome(evaluate, *params):
+    try:
+        return evaluate(*params)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def g_case_points(draw):
+    """(m, x, t, D) with delta = 2xm/t^2 at most about 10^5, or with D t^2 =
+    2xm exactly (D one off either way too), or with ceil(delta) just above
+    the evaluator's scale."""
+    t = draw(st.integers(1, 300))
+    x = draw(st.integers(1, 2000))
+    kind = draw(st.sampled_from(("moderate", "at-delta", "beyond-scale")))
+    if kind == "moderate":
+        m = draw(st.integers(t, t + 100_000 * t * t // (2 * x)))
+        big_d = draw(st.integers(1, 2 * (2 * x * m // (t * t)) + 3))
+    elif kind == "at-delta":
+        k = draw(st.integers(1, 20))
+        m, big_d = k * t * t, 2 * x * k + draw(st.integers(-1, 1))
+        assume(big_d >= 1)
+    else:
+        m = bounds._MAX_DELTA * t * t // (2 * x) + draw(st.integers(1, 3))
+        big_d = draw(st.integers(1, 1000))
+    return m, x, t, big_d
+
+
+@pytest.mark.parametrize("m, x, t, big_d", [
+    (10, 5, 10, 1),  # D t^2 = 2xm = 100: D = delta takes the product branch
+    (10, 5, 10, 2),
+    (20, 3, 2, 30),  # delta = 30, an integer
+    (20, 3, 2, 31),
+    (10_000_001, 1, 2, 7),  # delta = 5,000,000.5: ceil(delta) one above the scale
+    (6_000_000, 50, 10, 10),
+])
+def test_g_case_log2_matches_the_reference_at_the_edges(m, x, t, big_d):
+    assert _outcome(g_case_log2, m, x, t, big_d) == _outcome(reference_g_case_log2, m, x, t, big_d)
+
+
+@settings(max_examples=400, deadline=None)
+@given(g_case_points())
+def test_g_case_log2_matches_the_reference(point):
+    assert _outcome(g_case_log2, *point) == _outcome(reference_g_case_log2, *point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 500), st.integers(1, 60), st.integers(1, 150))
+def test_g_bound_matches_the_reference(m, x, t, d):
+    assert _outcome(g_bound, m, x, t, d) == _outcome(reference_g_bound, m, x, t, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 60), st.integers(-3, 400), st.integers(1, 400), st.integers(1, 80))
+def test_g_recursion_check_matches_the_reference(t, m_over_t, x, d):
+    # m - t from -3 (an invalid base point) up to 400, so that m - Delta_1 < t
+    # cuts the Delta_1 range at some points and not at others
+    m = t + m_over_t
+    assert g_recursion_check(m, x, t, d) == reference_g_recursion_check(m, x, t, d)
+
+
+@pytest.mark.parametrize("params", [(4000, 1600, 90, 220), (5000, 2000, 100, 250), (6000, 2400, 110, 280)])
+def test_g_recursion_check_evaluates_each_point_once(monkeypatch, params):
+    # the benchmark's three base points: the base, m + 1, m + 2, x + 1,
+    # t + 1, d + 1 and the first Delta_1, which already satisfies the
+    # recursion; the earlier check evaluated m and m + 1 once more each
+    calls = []
+    real = bounds.g_bound
+    monkeypatch.setattr(bounds, "g_bound", lambda *p: calls.append(p) or real(*p))
+    assert g_recursion_check(*params).passed
+    assert len(calls) == len(set(calls)) == 7
+
+
 def test_g_bound_rejects_delta_beyond_scale_before_growing_the_table():
     size = len(bounds._log_ratio_prefix)
     # delta = 2 * 50 * 6_000_000 / 10^2 = 6_000_000 > 5_000_000

@@ -326,6 +326,15 @@ def test_verify_paper_quick_json_matches_capture(capsys):
     assert out == expected
 
 
+def test_verify_paper_seed1_quick_json_matches_capture(capsys):
+    # a second seed: the seeded streams must keep their draw order at every
+    # seed, not only at seed 0
+    expected = (Path(__file__).parent / "data" / "verify_paper_seed1_quick.json").read_text()
+    code, out, _ = run(capsys, "verify-paper", "--seed", "1", "--quick", "--json")
+    assert code == 0
+    assert out == expected
+
+
 def test_verify_paper_full_json_matches_capture(capsys):
     # the same at full size: every check, not only the quick ones
     expected = (Path(__file__).parent / "data" / "verify_paper_seed0.json").read_text()

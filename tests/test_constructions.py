@@ -114,7 +114,7 @@ def reference_union(n: int, t: int) -> Graph:
     return Graph.from_edge_list(n, edges)
 
 
-def _union_or_error(build, n, t):
+def _built_or_error(build, n, t):
     try:
         return build(n, t)
     except ValueError as exc:
@@ -127,8 +127,8 @@ def test_union_matches_the_reference_for_every_size_below_120():
     graphs = 0
     for n in range(120):
         for t in range(93):
-            got = _union_or_error(disjoint_union_matching_complements, n, t)
-            assert got == _union_or_error(reference_union, n, t), (n, t)
+            got = _built_or_error(disjoint_union_matching_complements, n, t)
+            assert got == _built_or_error(reference_union, n, t), (n, t)
             graphs += isinstance(got, Graph)
     assert graphs == 2581
 
@@ -143,6 +143,46 @@ def test_immersion_tightness_shape():
     s1 = range(6, 9)
     s2 = range(9, 12)
     assert all(not g.has_edge(a, b) for a in s1 for b in s2)
+
+
+def reference_immersion_tightness(n: int, t: int):
+    """The earlier construction, kept verbatim as the reference: it lists
+    every edge and rebuilds the rows through ``Graph.from_edge_list``."""
+    if t < 2:
+        raise ValueError(f"immersion_tightness needs t >= 2, got t = {t}")
+    if n <= t or (n - t) % 2:
+        raise ValueError(f"immersion_tightness needs n - t even and positive, got n = {n}, t = {t}")
+    half = (n - t) // 2
+    s1 = range(t, t + half)
+    s2 = range(t + half, n)
+    edges = []
+    for u in range(t):
+        for v in range(u + 1, t):
+            if (u, v) != (0, 1):
+                edges.append((u, v))
+    for block in (s1, s2):
+        for u in block:
+            for v in block:
+                if u < v:
+                    edges.append((u, v))
+    for w in s1:
+        edges.extend((term, w) for term in range(t) if term != 1)
+    for w in s2:
+        edges.extend((term, w) for term in range(t) if term != 0)
+    return Graph.from_edge_list(n, edges), frozenset(range(t))
+
+
+def test_immersion_tightness_matches_the_reference_for_every_size_below_120():
+    # every valid (n, t) with n < 120 and t < 30 (n - t even and positive,
+    # t >= 2): the same rows and the same terminals; the error message of
+    # every invalid one
+    graphs = 0
+    for n in range(120):
+        for t in range(30):
+            got = _built_or_error(immersion_tightness, n, t)
+            assert got == _built_or_error(reference_immersion_tightness, n, t), (n, t)
+            graphs += isinstance(got, tuple)
+    assert graphs == 1442
 
 
 def test_immersion_tightness_rejects_bad_params():
