@@ -300,11 +300,7 @@ def _grid_zoom_max(
 def case1_supremum() -> BoundResult:
     """sup over c > 1 of the sparse-branch exponent at its best admissible
     integer d; stays below 1.64."""
-
-    def objective(c: float) -> float:
-        return _case1_best_at(c)[0]
-
-    c0, v0 = _grid_zoom_max(objective, 1.0 + 1e-6, _C_MAX)
+    c0, v0 = _grid_zoom_max(lambda c: _case1_best_at(c)[0], 1.0 + 1e-6, _C_MAX)
     return BoundResult(v0, v0, CASE_ABOVE, c0, _case1_best_at(c0)[1])
 
 
@@ -356,17 +352,23 @@ def _refined_best_at(c: float) -> tuple[float, int | None, str]:
     return best_v, best_d, tag
 
 
-def _refined_tail_envelope(c: float) -> float:
-    """Cheap valid upper bound on the refined objective, used to certify
-    that the supremum lies inside the detailed scan window."""
-    delta = 2.0 * c * (c - 1.0)
-    inv2x = 1.0 / (2.0 * (c - 1.0))
-    k = delta + 1.0
-    log_k = math.log2(2.0 * k)
-    integral = (math.log(2.0 * k) ** 2 - math.log(2.0 * (2.0 * (c - 1.0))) ** 2) / (2.0 * _LN2)
-    case2_env = 1.0 + 2.0 * inv2x * log_k + inv2x * integral
-    case1_env = 1.0 + (c - 1.0) * math.log2(delta + 2.0) / delta
-    return max(case1_env, case2_env)
+def _refined_tail_bound(c: float) -> float:
+    """1 + u(8 + 3u) / (4 ln 2 (c - 1)) with u = ln(2c): an upper bound on
+    ``_refined_best_at(c)[0]``, valid and decreasing for c >= 2.
+
+    Proof. Let inv2x = 1/(2(c - 1)); delta = 2c(c - 1) <= 2c^2 gives
+    log2(delta + 1) <= 2 log2(2c). For each D, term4 <= 1; term1 <= inv2x,
+    as c - (ceil(delta) - 1) inv2x <= inv2x and log2(k + 1) <= k; term3 <=
+    inv2x log2(delta + 1). term2 = inv2x s(D), and as log2(h + 1)/h
+    decreases, s(D) is at most the integral of log2(2h)/h from 2(c - 1) >= c
+    to 2c^2, which is 3u^2/(2 ln 2). The sparse branch is at most
+    1 + log2(delta + 1)/(2c) <= 1 + u/(c ln 2). The derivative has the sign
+    of (6u + 8)(c - 1)/c - (3u^2 + 8u), negative once u > 4/3, i.e. c > 1.9.
+    Like the objective, this bounds the per-t limit that the code
+    implements; it does not check the dropped per-t remainders.
+    """
+    u = math.log(2.0 * c)
+    return 1.0 + u * (8.0 + 3.0 * u) / (4.0 * _LN2 * (c - 1.0))
 
 
 def optimize_constant(mode: str = "coarse") -> BoundResult:
@@ -379,7 +381,9 @@ def optimize_constant(mode: str = "coarse") -> BoundResult:
 
     refined: maximizes the exact product bound over real c > 1 and integer
     D, excluding the trivial branch; reports the achieved constant and its
-    maximizer (c, D). Deterministic grid-zoom search (``_grid_zoom_max``).
+    maximizer (c, D). A deterministic grid-zoom search (``_grid_zoom_max``)
+    covers (1 + 1e-6, 60], and ``_refined_tail_bound(60)`` = 1.654... must
+    stay below its maximum: no c >= 60 can then score higher.
     """
     if mode == "coarse":
         sup1 = case1_supremum()
@@ -390,17 +394,8 @@ def optimize_constant(mode: str = "coarse") -> BoundResult:
         return BoundResult(3.0, 3.0, CASE_TRIVIAL, 3.0, None)
     if mode != "refined":
         raise ValueError(f"mode must be 'coarse' or 'refined', got {mode!r}")
-
-    def objective(c: float) -> float:
-        return _refined_best_at(c)[0]
-
-    detail_hi = 60.0
-    c_best, v_best = _grid_zoom_max(objective, 1.0 + 1e-6, detail_hi, steps=600, rounds=12)
-    for i in range(301):
-        c = detail_hi * (1000.0 / detail_hi) ** (i / 300.0)
-        if _refined_tail_envelope(c) >= v_best - 0.05:
-            c2, v2 = _grid_zoom_max(objective, max(detail_hi, c - 5.0), c + 5.0)
-            if v2 > v_best:
-                c_best, v_best = c2, v2
+    c_best, v_best = _grid_zoom_max(lambda c: _refined_best_at(c)[0], 1.0 + 1e-6, 60.0, steps=600, rounds=12)
+    if _refined_tail_bound(60.0) >= v_best:
+        raise AssertionError(f"the tail bound for c >= 60 reached the grid maximum {v_best}")
     value, d_value, tag = _refined_best_at(c_best)
     return BoundResult(value, value, tag, c_best, d_value)

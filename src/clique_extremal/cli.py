@@ -216,9 +216,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
+# The flags each construct family and each bounds mode read; any other flag
+# is a usage error, not silently dropped. case1 reads --d only with --c.
+_CONSTRUCT_FLAGS = {"star": ("t",), "matching": (), "union": ("t",), "tightness": ("t",), "random": ("p", "seed")}
+_BOUNDS_FLAGS = {
+    "boundt": ("params",),
+    "recursion-check": ("params",),
+    "case1": ("c", "d"),
+    "case2": ("c",),
+    "coarse": (),
+    "refined": (),
+}
+
+
+def _reject_unread(args: argparse.Namespace, choice: str, reads: dict[str, tuple[str, ...]]) -> None:
+    value = getattr(args, choice)
+    for flag in dict.fromkeys(flag for flags in reads.values() for flag in flags):
+        if getattr(args, flag) is not None and flag not in reads[value]:
+            raise ValueError(f"--{flag} is not read by --{choice} {value}")
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     family = args.family
-    if family in ("star", "union", "tightness") and args.t is None:
+    _reject_unread(args, "family", _CONSTRUCT_FLAGS)
+    if "t" in _CONSTRUCT_FLAGS[family] and args.t is None:
         raise ValueError(f"--t is required for the {family} family")
     if family == "star":
         g = star_of_clique(args.n, args.t)
@@ -233,7 +254,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:
         if args.p is None:
             raise ValueError("--p is required for the random family")
-        g = random_graph(args.n, args.p, args.seed)
+        g = random_graph(args.n, args.p, args.seed or 0)
     if args.output_format == "edgelist":
         print(write_edge_list(g), end="")
     else:
@@ -241,23 +262,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-# The flags each bounds mode reads; any other flag is a usage error, not
-# silently dropped. case1 reads --d only together with --c.
-_BOUNDS_FLAGS = {
-    "boundt": ("params",),
-    "recursion-check": ("params",),
-    "case1": ("c", "d"),
-    "case2": ("c",),
-    "coarse": (),
-    "refined": (),
-}
-
-
 def _cmd_bounds(args: argparse.Namespace) -> int:
     mode = args.mode
-    for flag in ("params", "c", "d"):
-        if getattr(args, flag) is not None and flag not in _BOUNDS_FLAGS[mode]:
-            raise ValueError(f"--{flag} is not read by --mode {mode}")
+    _reject_unread(args, "mode", _BOUNDS_FLAGS)
     if args.d is not None and args.c is None:
         raise ValueError(f"--d is read by --mode {mode} only together with --c")
     if args.c is not None and not math.isfinite(2 * args.c * (args.c - 1)):
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     construct.add_argument("--n", type=int, required=True)
     construct.add_argument("--t", type=int, default=None)
     construct.add_argument("--p", type=float, default=None)
-    construct.add_argument("--seed", type=int, default=0)
+    construct.add_argument("--seed", type=int, default=None, help="random family only; 0 when absent")
     construct.add_argument("--output-format", choices=_FORMATS, default="edgelist", dest="output_format")
     construct.set_defaults(handler=_cmd_construct)
 
@@ -408,8 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     paper.add_argument(
         "--threads", type=int, default=1, help="worker processes, at most one per check and per processor"
     )
-    paper.add_argument("--json", action="store_true")
-    paper.add_argument("--csv", action="store_true")
+    output = paper.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true")
+    output.add_argument("--csv", action="store_true")
     paper.set_defaults(handler=_cmd_verify_paper)
 
     return parser

@@ -50,7 +50,7 @@ class PeelingTrace:
     stop_index: int
 
 
-def _trace(picked: list[int], sizes: list[int], missing_degrees: list[int], reason: str) -> PeelingTrace:
+def _trace(picked: list[int], sizes: range | list[int], missing_degrees: list[int], reason: str) -> PeelingTrace:
     """The trace of a loop that stopped for ``reason`` after its last size entry."""
     return PeelingTrace(tuple(picked), tuple(sizes), tuple(missing_degrees), reason, len(sizes) - 1)
 
@@ -77,7 +77,7 @@ def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
     combine two solved parts: a product when ``split`` (the component of a
     maximum-degree vertex v and the rest), else a branch on v."""
     check_guard("count_cliques_oracle", g.n, ORACLE_MAX_N, limit_n)
-    comp = tuple(map(g.complement().adjacency_mask, range(g.n)))
+    comp = g.complement().rows
     memo: dict[int, tuple[int, int]] = {0: (1, 0)}
     stack: list[int | tuple[int, int, int, bool]] = [g.full_mask]
     while stack:
@@ -122,11 +122,11 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
     One loop runs on an explicit stack of non-empty (residual, depth)
     entries. A pick counts the clique it closes, then pushes the rest of its
     level and above it the child N(v) & residual, one level deeper, so the
-    stack holds one entry per level. At depth 0 the trace records each pick;
-    deeper, a residual that is a clique adds all its non-empty subsets."""
-    adj = tuple(g.adjacency_mask(v) for v in range(g.n))
+    stack holds one entry per level. At depth 0 the trace records each pick,
+    which removes one vertex, so the sizes run from n down to 0; deeper, a
+    residual that is a clique adds all its non-empty subsets."""
+    adj = g.rows
     picked: list[int] = []
-    sizes = [g.n]
     missing_degrees: list[int] = []
     total = 1
     omega = 0
@@ -138,7 +138,6 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
         if not depth:
             picked.append(v)
             missing_degrees.append(size - 1 - d)
-            sizes.append(size - 1)
         elif d == size - 1:
             total += (1 << size) - 1
             if depth + size > omega:
@@ -151,7 +150,7 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
             stack.append((residual & ~(1 << v), depth))
         if d:
             stack.append((adj[v] & residual, depth + 1))
-    return CliqueStats(total, total - 1, omega), _trace(picked, sizes, missing_degrees, STOP_EXHAUSTED)
+    return CliqueStats(total, total - 1, omega), _trace(picked, range(g.n, -1, -1), missing_degrees, STOP_EXHAUSTED)
 
 
 def peel_trace(g: Graph, t: int, size_factor: float = 1.05, drop_exponent: float = 0.55) -> PeelingTrace:
@@ -165,7 +164,7 @@ def peel_trace(g: Graph, t: int, size_factor: float = 1.05, drop_exponent: float
     """
     if t < 1:
         raise ValueError(f"peel_trace needs t >= 1, got t = {t}")
-    adj = tuple(g.adjacency_mask(v) for v in range(g.n))
+    adj = g.rows
     residual = g.full_mask
     picked: list[int] = []
     sizes = [g.n]

@@ -70,7 +70,7 @@ def disjoint_union_matching_complements(n: int, t: int) -> Graph:
     rows: list[int] = []
     for size in sizes:
         mc, offset = matching_complement(size), len(rows)
-        rows.extend(mc.adjacency_mask(v) << offset for v in range(size))
+        rows.extend(row << offset for row in mc.rows)
     return Graph(n, rows)
 
 

@@ -113,7 +113,7 @@ def _route_dense(g: Graph, t_set: list[int], t_mask: int, kind: str) -> Certific
     route through. A subdivision route uses up the vertex w (w leaves every
     row), an immersion route the edges u-w and w-v (the rows of u and v)."""
     outside = g.full_mask & ~t_mask
-    free = {x: g.adjacency_mask(x) & outside for x in t_set}
+    free = {x: g.rows[x] & outside for x in t_set}
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     for u, v in combinations(t_set, 2):
         if g.has_edge(u, v):
@@ -247,7 +247,7 @@ def sigma_exhaustive(g: Graph, limit_n: int | None = None) -> int:
     n = g.n
     if n == 0:
         return 0
-    adj = tuple(g.adjacency_mask(v) for v in range(n))
+    adj = g.rows
     full = g.full_mask
 
     def routes(free: int, pair: tuple[int, int]) -> Iterator[int]:
@@ -295,7 +295,7 @@ def has_immersion_with_ends(
         return True
     if any(g.degree(v) < len(t_set) - 1 for v in t_set):
         return False
-    avail = [g.adjacency_mask(v) for v in range(g.n)]
+    avail = list(g.rows)
     missing: list[tuple[int, int]] = []
     for u, v in combinations(t_set, 2):
         if g.has_edge(u, v):

@@ -99,7 +99,7 @@ def _decode_size(s: str) -> tuple[int, int]:
 def write_graph6(g: Graph) -> str:
     head = _encode_size(g.n)
     # column j: the pairs (i, j) for i = 0..j-1, i.e. row j's low bits, least first
-    bits = "".join(format(g.adjacency_mask(j) & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
+    bits = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
     bits += "0" * (-len(bits) % 6)
     return head + "".join(chr(63 + int(bits[k : k + 6], 2)) for k in range(0, len(bits), 6))
 

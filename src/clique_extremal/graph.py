@@ -75,16 +75,17 @@ def simple_paths(adj: Sequence[int], u: int, v: int, allowed: int) -> Iterator[t
 
 
 class Graph:
-    """Simple undirected graph. Rows must be symmetric and irreflexive;
-    the public constructors guarantee that."""
+    """Simple undirected graph. ``rows`` is the tuple of adjacency bitsets,
+    row v at index v; rows must be symmetric and irreflexive, and the
+    public constructors guarantee that."""
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "rows")
 
     def __init__(self, n: int, adjacency_rows: Iterable[int]):
         self.n = n
-        self._adj = tuple(adjacency_rows)
-        if len(self._adj) != n:
-            raise ValueError(f"expected {n} adjacency rows, got {len(self._adj)}")
+        self.rows = tuple(adjacency_rows)
+        if len(self.rows) != n:
+            raise ValueError(f"expected {n} adjacency rows, got {len(self.rows)}")
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -112,14 +113,14 @@ class Graph:
         return (1 << self.n) - 1
 
     def adjacency_mask(self, v: int) -> int:
-        return self._adj[v]
+        return self.rows[v]
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self.rows[v].bit_count()
 
     def missing_degree(self, v: int) -> int:
         """Number of missing edges incident to v, i.e. n - 1 - degree(v)."""
-        return self.n - 1 - self._adj[v].bit_count()
+        return self.n - 1 - self.rows[v].bit_count()
 
     def max_missing_degree(self) -> int:
         if self.n == 0:
@@ -127,16 +128,16 @@ class Graph:
         return max(self.missing_degree(v) for v in range(self.n))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u] >> v & 1)
+        return bool(self.rows[u] >> v & 1)
 
     @property
     def num_edges(self) -> int:
-        return sum(row.bit_count() for row in self._adj) // 2
+        return sum(row.bit_count() for row in self.rows) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as ordered pairs u < v, lexicographic."""
         for u in range(self.n):
-            higher = self._adj[u] >> (u + 1) << (u + 1)
+            higher = self.rows[u] >> (u + 1) << (u + 1)
             for v in iter_bits(higher):
                 yield u, v
 
@@ -144,7 +145,7 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = self.full_mask
-        return Graph(self.n, (full & ~row & ~(1 << v) for v, row in enumerate(self._adj)))
+        return Graph(self.n, (full & ~row & ~(1 << v) for v, row in enumerate(self.rows)))
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Relabelled induced subgraph plus the map new index -> old vertex."""
@@ -154,7 +155,7 @@ class Graph:
         rows = [0] * len(keep)
         for old in keep:
             new = index[old]
-            for w in iter_bits(self._adj[old]):
+            for w in iter_bits(self.rows[old]):
                 if w in index:
                     rows[new] |= 1 << index[w]
         return Graph(len(keep), rows), tuple(keep)
@@ -169,7 +170,7 @@ class Graph:
         full = self.full_mask
         count = 0
         for v in iter_bits(mask):
-            non_neighbours = full & ~self._adj[v] & ~(1 << v)
+            non_neighbours = full & ~self.rows[v] & ~(1 << v)
             count += (non_neighbours & (mask >> (v + 1) << (v + 1))).bit_count()
         return count
 
@@ -178,10 +179,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self.n == other.n and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"

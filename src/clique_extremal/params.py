@@ -48,19 +48,12 @@ class _SearchTables:
     level i. Level tables are built the first time a search reaches them.
     """
 
-    __slots__ = ("comp", "order", "undecided", "width", "code", "fields", "levels", "_pos")
+    __slots__ = ("comp", "order", "width", "code", "fields", "levels")
 
     def __init__(self, g: Graph):
         n = g.n
-        complement = g.complement()
-        self.comp = tuple(complement.adjacency_mask(v) for v in range(n))
+        self.comp = g.complement().rows
         self.order = sorted(range(n), key=lambda v: (self.comp[v].bit_count(), v))
-        self._pos = [0] * n
-        for i, v in enumerate(self.order):
-            self._pos[v] = i
-        self.undecided = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            self.undecided[i] = self.undecided[i + 1] | (1 << self.order[i])
         # a field holds a key (at most 3(n - 1)) and a biased field
         # 2^(width - 1) + d_R(u) - (r - s), whose top bit is exact while
         # n <= 2^(width - 1), since d_R(u) and r - s are below n
@@ -80,11 +73,11 @@ class _SearchTables:
         """(bit of order[i], its absolute spread, packed d_R, packed
         2^(width - 1) + d_R, packed ones, packed 2^(width - 1), bytes in a
         pack, e(R)) for R = order[i:]."""
-        comp, rest, v = self.comp, self.undecided[i], self.order[i]
-        degrees = [(comp[u] & rest).bit_count() for u in self.order[i:]]
-        spread = [0] * len(self.order)
-        for u in iter_bits(comp[v] & self.undecided[i + 1]):
-            spread[self._pos[u]] = 1
+        comp, order, v = self.comp, self.order, self.order[i]
+        rest = sum(1 << u for u in order[i:])
+        degrees = [(comp[u] & rest).bit_count() for u in order[i:]]
+        later = comp[v] & rest  # a complement row has no self bit
+        spread = [later >> u & 1 for u in order]
         ones = self._pack([1] * len(degrees))
         high = ones << (self.width - 1)
         deg = self._pack(degrees)

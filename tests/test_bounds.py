@@ -1,11 +1,13 @@
 import json
 import math
+import random
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clique_extremal import (
@@ -543,6 +545,39 @@ def test_refined_objective_is_continuous_at_an_integer_delta():
     below = bounds._refined_best_at(2.0 - 1e-9)
     assert abs(at[0] - below[0]) <= 1e-6
     assert at[0] < 1.8165
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=2.0, max_value=2000.0))
+@example(2.0)
+@example(4.944097208657591)
+@example(60.0)
+@example(1000.0)
+def test_refined_tail_bound_holds(c):
+    assert bounds._refined_best_at(c)[0] <= bounds._refined_tail_bound(c)
+
+
+def test_refined_tail_bound_decreases():
+    rng = random.Random("tail-bound")
+    samples = sorted({2.0 * 5e8 ** rng.random() for _ in range(20_000)} | {2.0, 60.0, 1e9})
+    values = [bounds._refined_tail_bound(c) for c in samples]
+    assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_refined_tail_bound_at_60_is_below_the_maximum():
+    # 1 + u(8 + 3u) / (4 ln 2 * 59) with u = ln 120, in 50-digit decimals
+    with localcontext() as ctx:
+        ctx.prec = 50
+        u = Decimal(120).ln()
+        exact = 1 + u * (8 + 3 * u) / (4 * Decimal(2).ln() * 59)
+    assert exact < Decimal("1.8158")
+    assert abs(exact - Decimal(bounds._refined_tail_bound(60.0))) < Decimal("1e-12")
+
+
+def test_optimize_constant_rejects_a_tail_bound_that_reaches_the_maximum(monkeypatch):
+    monkeypatch.setattr(bounds, "_refined_tail_bound", lambda c: 2.0)
+    with pytest.raises(AssertionError, match="tail bound"):
+        optimize_constant("refined")
 
 
 def test_optimize_constant_validates_mode():

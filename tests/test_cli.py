@@ -127,6 +127,30 @@ def test_construct_missing_t_is_usage_error(capsys):
     assert "--t" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "star", "--n", "10", "--t", "3", "--p", "0.4"),
+        ("--family", "matching", "--n", "10", "--t", "99", "--seed", "4"),
+        ("--family", "matching", "--n", "10", "--seed", "0"),
+        ("--family", "union", "--n", "12", "--t", "5", "--seed", "1"),
+        ("--family", "tightness", "--n", "10", "--t", "4", "--p", "0.5"),
+        ("--family", "random", "--n", "9", "--p", "0.5", "--t", "3"),
+    ],
+)
+def test_construct_rejects_flags_its_family_does_not_read(capsys, argv):
+    code, out, err = run(capsys, "construct", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")
+
+
+def test_construct_random_seed_is_zero_when_absent(capsys):
+    code, out, _ = run(capsys, "construct", "--family", "random", "--n", "9", "--p", "0.5")
+    assert code == 0
+    assert out == run(capsys, "construct", "--family", "random", "--n", "9", "--p", "0.5", "--seed", "0")[1]
+
+
 def test_bounds_modes(capsys):
     code, out, _ = run(capsys, "bounds", "--mode", "boundt", "--params", "10,4,1", "--json")
     assert code == 0
@@ -315,6 +339,14 @@ def test_verify_paper_csv(capsys):
     code, out, _ = run(capsys, "verify-paper", "--quick", "--csv")
     assert code == 0
     assert out.splitlines()[0] == "name,passed,summary"
+
+
+def test_verify_paper_json_and_csv_together_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--quick", "--json", "--csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument" in captured.err
 
 
 def test_verify_paper_quick_json_matches_capture(capsys):

@@ -142,8 +142,10 @@ def _nx_graph(g: Graph) -> nx.Graph:
     return h
 
 
-def _adj(g: Graph) -> tuple[int, ...]:
-    return tuple(g.adjacency_mask(v) for v in range(g.n))
+def test_rows_are_the_adjacency_masks():
+    for g in (random_graph(9, 0.4, 1), star_of_clique(7, 4), Graph(0, [])):
+        assert type(g.rows) is tuple
+        assert g.rows == tuple(g.adjacency_mask(v) for v in range(g.n))
 
 
 def test_reach_matches_networkx_components():
@@ -157,7 +159,7 @@ def test_reach_matches_networkx_components():
         # in the graph induced on allowed plus seed
         h = _nx_graph(g).subgraph(set(allowed) | set(seed))
         expected = set().union(*(nx.node_connected_component(h, s) for s in seed))
-        got = reach(_adj(g), vertex_mask(seed, n), vertex_mask(allowed, n))
+        got = reach(g.rows, vertex_mask(seed, n), vertex_mask(allowed, n))
         assert got == vertex_mask(expected, n), (k, seed, allowed)
 
 
@@ -173,12 +175,12 @@ def test_simple_paths_matches_networkx_in_order():
             (len(p), tuple(p)) for p in nx.all_simple_paths(h, u, v) if len(p) > 2
         )
         expected = [(vertex_mask(route[1:-1], n), route) for _, route in routes]
-        assert list(simple_paths(_adj(g), u, v, vertex_mask(allowed, n))) == expected, k
+        assert list(simple_paths(g.rows, u, v, vertex_mask(allowed, n))) == expected, k
 
 
 def test_simple_paths_ignores_ends_in_allowed_and_direct_edge():
     g = complete_graph(4)
-    paths = list(simple_paths(_adj(g), 0, 3, g.full_mask))
+    paths = list(simple_paths(g.rows, 0, 3, g.full_mask))
     assert paths == [
         (0b0010, (0, 1, 3)),
         (0b0100, (0, 2, 3)),
