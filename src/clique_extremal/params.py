@@ -131,7 +131,8 @@ def min_tset_missing(
     A bound only cuts branches that hold no strictly better subset, so the
     witness is the first optimal subset in search order, whichever bounds
     are used. ``stop_at`` ends the search at the first subset found with at
-    most that many missing edges (used by threshold queries).
+    most that many missing edges: ``t_param`` stops at n - t, and the suite's
+    averaging check at floor(Delta t^2 / 2n). Otherwise the value is exact.
     """
     n = g.n
     if not 1 <= t <= n:

@@ -35,7 +35,7 @@ from .embed import (
     verify_subdivision,
 )
 from .graph import Graph
-from .params import delta_lower_bound, delta_threshold_no_subdivision, min_tset_missing, t_param
+from .params import delta_threshold_no_subdivision, min_tset_missing, t_param
 
 __all__ = [
     "CheckResult", "SuiteReport", "run_suite", "worker_count", "report_to_json", "report_to_csv", "CHECKS",
@@ -210,13 +210,15 @@ def check_sigma_sandwich(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
 
 
 def check_degree_averaging(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
+    """Delta >= 2nx/t^2 iff the integer x(t) <= floor(Delta t^2 / 2n): a recounted t-set proves it."""
     instances = 60 if quick else 300
     violations = 0
     for g in _random_graphs(seed, "degree-avg", instances, 20):
         delta = g.max_missing_degree()
         for t in range(1, g.n + 1):
-            x, _ = min_tset_missing(g, t)
-            if delta < delta_lower_bound(g.n, x, t):
+            threshold = delta * t * t // (2 * g.n)
+            x, witness = min_tset_missing(g, t, stop_at=threshold)
+            if x > threshold or len(witness) != t or g.missing_edges_within(witness) > threshold:
                 violations += 1
     data = {"instances": instances, "violations": violations}
     summary = f"{instances} graphs (n <= 20), all t: Delta >= 2nx/t^2 exactly"

@@ -21,7 +21,7 @@ from clique_extremal import (
     t_param_lower_estimate,
     tset_missing_upper_estimate,
 )
-from clique_extremal import params
+from clique_extremal import params, suite
 from clique_extremal.graph import iter_bits
 from clique_extremal.limits import SUBSET_MAX_N, check_guard
 
@@ -88,6 +88,55 @@ def test_min_tset_missing_property_against_brute_force(case):
     value, witness = min_tset_missing(g, t, stop_at=stop_at)
     assert len(witness) == t and g.missing_edges_within(witness) == value
     assert value <= stop_at if exact <= stop_at else value == exact
+
+
+def test_averaging_threshold_stop_agrees_with_the_exact_bound():
+    # every (graph, t) of the quick averaging check: the search stopped at
+    # floor(Delta t^2 / 2n) gives the verdict of the exact x(t)
+    pairs = 0
+    for seed in (0, 1):
+        for g in suite._random_graphs(seed, "degree-avg", 60, 20):
+            delta = g.max_missing_degree()
+            for t in range(1, g.n + 1):
+                exact, _ = min_tset_missing(g, t)
+                threshold = delta * t * t // (2 * g.n)
+                value, witness = min_tset_missing(g, t, stop_at=threshold)
+                holds = value <= threshold
+                assert holds == (delta >= delta_lower_bound(g.n, exact, t)), (seed, g, t)
+                if holds:
+                    assert len(witness) == t and len(set(witness)) == t
+                    assert g.missing_edges_within(witness) <= threshold
+                else:
+                    assert value == exact
+                pairs += 1
+    assert pairs > 1000
+
+
+# stand-ins for the search the averaging check calls, which always passes its
+# threshold as stop_at
+def _short_witness(g, t, stop_at):
+    value, witness = min_tset_missing(g, t, stop_at=stop_at)
+    return value, frozenset(sorted(witness)[:-1])
+
+
+def _overfull_witness(g, t, stop_at):
+    # the t-set missing the most edges, reported at the threshold when it is above it
+    _, worst = min_tset_missing(g.complement(), t)
+    if g.missing_edges_within(worst) > stop_at:
+        return stop_at, worst
+    return min_tset_missing(g, t, stop_at=stop_at)
+
+
+def _value_above_threshold(g, t, stop_at):
+    return stop_at + 1, min_tset_missing(g, t, stop_at=stop_at)[1]
+
+
+@pytest.mark.parametrize("search", [_short_witness, _overfull_witness, _value_above_threshold])
+def test_averaging_check_rejects_corrupted_witnesses(monkeypatch, search):
+    monkeypatch.setattr(suite, "min_tset_missing", search)
+    name, passed, _, data = suite.check_degree_averaging(0, True)
+    assert name == "missing-degree-averaging"
+    assert data["violations"] > 0 and not passed
 
 
 # The search before the exclusion bound, the packed counters and the table
