@@ -39,6 +39,7 @@ from .embed import (
 )
 from .errors import FormatError, GuardExceeded, PreconditionViolation
 from .formats import _FORMATS, load_graph, write_edge_list, write_graph6
+from .graph import Graph
 from .limits import SIGMA_MAX_N, SUBSET_MAX_N, effective_guard
 from .params import min_tset_missing, t_param, t_param_lower_estimate, tset_missing_upper_estimate
 from .suite import report_to_csv, report_to_json, run_suite
@@ -51,12 +52,12 @@ def _parse_terminals(raw: str) -> list[int]:
         raise ValueError(f"terminals must be comma-separated integers, got {raw!r}") from exc
 
 
-def _parse_params(raw: str, names: tuple[str, ...]) -> dict[str, int]:
+def _parse_params(raw: str, names: tuple[str, ...]) -> list[int]:
     parts = [p for p in raw.split(",") if p.strip() != ""]
     if len(parts) != len(names):
         raise ValueError(f"--params expects {','.join(names)}, got {raw!r}")
     try:
-        return {name: int(part) for name, part in zip(names, parts)}
+        return [int(part) for part in parts]
     except ValueError as exc:
         raise ValueError(f"--params must be integers, got {raw!r}") from exc
 
@@ -84,20 +85,13 @@ def _emit(data: dict, as_json: bool, human_lines: list[str]) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
-    g = load_graph(args.input, args.format)
-    results = {}
-    if args.method in ("oracle", "both"):
-        results["oracle"] = count_cliques_oracle(g, args.limit_n)
-    if args.method in ("peeling", "both"):
-        results["peeling"] = count_cliques_peeling(g)[0]
-    if args.method == "both" and results["oracle"] != results["peeling"]:
-        print(
-            f"COUNT MISMATCH: oracle {results['oracle']} vs peeling {results['peeling']}",
-            file=sys.stderr,
-        )
+def _cmd_count(args: argparse.Namespace, g: Graph) -> int:
+    oracle = count_cliques_oracle(g, args.limit_n) if args.method != "peeling" else None
+    peeling = count_cliques_peeling(g)[0] if args.method != "oracle" else None
+    if args.method == "both" and oracle != peeling:
+        print(f"COUNT MISMATCH: oracle {oracle} vs peeling {peeling}", file=sys.stderr)
         return 1
-    stats = results.get("peeling") or results["oracle"]
+    stats = peeling or oracle
     data = {
         "n": g.n,
         "method": args.method,
@@ -117,15 +111,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sigma(args: argparse.Namespace) -> int:
-    g = load_graph(args.input, args.format)
+def _cmd_sigma(args: argparse.Namespace, g: Graph) -> int:
     sigma = sigma_exhaustive(g, args.limit_n)
     _emit({"n": g.n, "sigma": sigma}, args.json, [f"sigma = {sigma}"])
     return 0
 
 
-def _cmd_params(args: argparse.Namespace) -> int:
-    g = load_graph(args.input, args.format)
+def _cmd_params(args: argparse.Namespace, g: Graph) -> int:
     if args.approx and g.n > effective_guard(SUBSET_MAX_N, args.limit_n):
         return _cmd_params_approx(g, args)
     report = t_param(g, args.limit_n)
@@ -156,7 +148,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_params_approx(g, args: argparse.Namespace) -> int:
+def _cmd_params_approx(g: Graph, args: argparse.Namespace) -> int:
     """Averaging certificates only: an upper bound on the minimum missing
     count per t and hence a lower bound on the t parameter. Never exact."""
     t_lower = t_param_lower_estimate(g)
@@ -180,8 +172,7 @@ def _cmd_params_approx(g, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_embed(args: argparse.Namespace) -> int:
-    g = load_graph(args.input, args.format)
+def _cmd_embed(args: argparse.Namespace, g: Graph) -> int:
     terminals = _parse_terminals(args.terminals)
     if args.lemma == "immersion":
         cert = immerse_dense(g, terminals)
@@ -196,15 +187,10 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    g = load_graph(args.input, args.format)
+def _cmd_verify(args: argparse.Namespace, g: Graph) -> int:
     with open(args.certificate, "r", encoding="ascii") as fh:
         cert = certificate_loads(fh.read())
-    mode = args.mode
-    if mode is None:
-        mode = {"strong_immersion": "strong", "weak_immersion": "weak", "subdivision": "subdivision"}[
-            cert.kind
-        ]
+    mode = args.mode or cert.kind.removesuffix("_immersion")
     if mode == "subdivision":
         result = verify_subdivision(g, cert)
     else:
@@ -216,20 +202,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-# The flags each construct family and each bounds mode read; any other flag
-# is a usage error, not silently dropped. case1 reads --d only with --c.
-_CONSTRUCT_FLAGS = {"star": ("t",), "matching": (), "union": ("t",), "tightness": ("t",), "random": ("p", "seed")}
-_BOUNDS_FLAGS = {
+# Each construct family: the flags it reads, required ones first (--seed is
+# optional, 0 when absent), and its builder, called with --n and those flags.
+_FAMILIES = {
+    "star": (("t",), star_of_clique),
+    "matching": ((), matching_complement),
+    "union": (("t",), disjoint_union_matching_complements),
+    "tightness": (("t",), immersion_tightness),
+    "random": (("p", "seed"), lambda n, p, seed: random_graph(n, p, seed or 0)),
+}
+# The flags each bounds mode reads (case1 reads --d only with --c), and the
+# names of --params for the two modes that read it.
+_MODES = {
     "boundt": ("params",),
-    "recursion-check": ("params",),
     "case1": ("c", "d"),
     "case2": ("c",),
     "coarse": (),
     "refined": (),
+    "recursion-check": ("params",),
 }
+_PARAMS = {"boundt": ("t", "x", "D"), "recursion-check": ("m", "x", "t", "d")}
 
 
 def _reject_unread(args: argparse.Namespace, choice: str, reads: dict[str, tuple[str, ...]]) -> None:
+    """A flag that the chosen family or mode does not read is a usage error,
+    not silently dropped."""
     value = getattr(args, choice)
     for flag in dict.fromkeys(flag for flags in reads.values() for flag in flags):
         if getattr(args, flag) is not None and flag not in reads[value]:
@@ -238,23 +235,16 @@ def _reject_unread(args: argparse.Namespace, choice: str, reads: dict[str, tuple
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     family = args.family
-    _reject_unread(args, "family", _CONSTRUCT_FLAGS)
-    if "t" in _CONSTRUCT_FLAGS[family] and args.t is None:
-        raise ValueError(f"--t is required for the {family} family")
-    if family == "star":
-        g = star_of_clique(args.n, args.t)
-    elif family == "matching":
-        g = matching_complement(args.n)
-    elif family == "union":
-        g = disjoint_union_matching_complements(args.n, args.t)
-    elif family == "tightness":
-        g, terminals = immersion_tightness(args.n, args.t)
+    flags, build = _FAMILIES[family]
+    _reject_unread(args, "family", {name: reads for name, (reads, _) in _FAMILIES.items()})
+    for flag in flags:
+        if flag != "seed" and getattr(args, flag) is None:
+            raise ValueError(f"--{flag} is required for the {family} family")
+    g = build(args.n, *(getattr(args, flag) for flag in flags))
+    if family == "tightness":
+        g, terminals = g
         if args.output_format == "edgelist":
             print(f"# designated terminals: {','.join(str(v) for v in sorted(terminals))}")
-    else:
-        if args.p is None:
-            raise ValueError("--p is required for the random family")
-        g = random_graph(args.n, args.p, args.seed or 0)
     if args.output_format == "edgelist":
         print(write_edge_list(g), end="")
     else:
@@ -264,58 +254,47 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     mode = args.mode
-    _reject_unread(args, "mode", _BOUNDS_FLAGS)
+    _reject_unread(args, "mode", _MODES)
     if args.d is not None and args.c is None:
         raise ValueError(f"--d is read by --mode {mode} only together with --c")
     if args.c is not None and not math.isfinite(2 * args.c * (args.c - 1)):
         raise ValueError(f"--c {args.c} gives a non-finite delta = 2c(c - 1)")
-    if mode == "boundt":
+    if mode in _PARAMS:
+        names = _PARAMS[mode]
         if args.params is None:
-            raise ValueError("--params t,x,D is required for boundt")
-        p = _parse_params(args.params, ("t", "x", "D"))
-        value = boundt_value(p["t"], p["x"], p["D"])
-        data = {
-            "mode": mode,
-            "log2_cliques": value.log2_cliques,
-            "clique_number_bound": str(value.clique_number_bound),
-        }
-        _emit(data, args.json, [
-            f"log2 clique bound = {value.log2_cliques:.6f}",
-            f"clique number bound = {value.clique_number_bound}",
-        ])
-        return 0
-    if mode == "recursion-check":
-        if args.params is None:
-            raise ValueError("--params m,x,t,d is required for recursion-check")
-        p = _parse_params(args.params, ("m", "x", "t", "d"))
-        check = g_recursion_check(p["m"], p["x"], p["t"], p["d"])
+            raise ValueError(f"--params {','.join(names)} is required for {mode}")
+        p = _parse_params(args.params, names)
+        if mode == "boundt":
+            value = boundt_value(*p)
+            data = {
+                "mode": mode,
+                "log2_cliques": value.log2_cliques,
+                "clique_number_bound": str(value.clique_number_bound),
+            }
+            _emit(data, args.json, [
+                f"log2 clique bound = {value.log2_cliques:.6f}",
+                f"clique number bound = {value.clique_number_bound}",
+            ])
+            return 0
+        check = g_recursion_check(*p)
         data = {"mode": mode, "passed": check.passed, "failures": list(check.failures)}
         lines = [f"recursion check {'PASS' if check.passed else 'FAIL'}"]
         lines.extend(f"  {f}" for f in check.failures)
         _emit(data, args.json, lines)
         return 0 if check.passed else 1
-    if mode == "case1":
-        if args.c is not None:
-            d = args.d if args.d is not None else int(2 * args.c * (args.c - 1)) + 1
-            value = case1_exponent(args.c, d)
-            result_c, result_d = args.c, d
-        else:
-            sup = case1_supremum()
-            value, result_c, result_d = sup.log2_bound, sup.c_value, sup.d_value
-        data = {"mode": mode, "constant": value, "C": result_c, "D": result_d}
-    elif mode == "case2":
-        if args.c is not None:
-            value, result_c, result_d = case2_exponent(args.c), args.c, None
-        else:
-            sup = case2_supremum()
-            value, result_c, result_d = sup.log2_bound, sup.c_value, None
-        data = {"mode": mode, "constant": value, "C": result_c, "D": result_d}
+    if args.c is None:
+        suprema = {"case1": case1_supremum, "case2": case2_supremum}
+        result = suprema[mode]() if mode in suprema else optimize_constant(mode)
+        value, c, d = result.log2_bound, result.c_value, result.d_value
+    elif mode == "case1":
+        c = args.c
+        d = args.d if args.d is not None else int(2 * c * (c - 1)) + 1
+        value = case1_exponent(c, d)
     else:
-        result = optimize_constant(mode)
-        data = {"mode": mode, "constant": result.log2_bound, "C": result.c_value, "D": result.d_value}
-    _emit(data, args.json, [
-        f"constant = {data['constant']:.6f}",
-        f"maximizer C = {data['C']}, D = {data['D']}",
+        value, c, d = case2_exponent(args.c), args.c, None
+    _emit({"mode": mode, "constant": value, "C": c, "D": d}, args.json, [
+        f"constant = {value:.6f}",
+        f"maximizer C = {c}, D = {d}",
     ])
     return 0
 
@@ -339,10 +318,16 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_graph_input(sub: argparse.ArgumentParser) -> None:
+def _add_graph_input(sub: argparse.ArgumentParser, guarded: dict[str, dict] | None = None) -> None:
+    """--input, --format and --json; for a command that runs a guarded
+    search, then its ``guarded`` options and --limit-n."""
     sub.add_argument("--input", required=True, help="path to the graph file")
     sub.add_argument("--format", choices=_FORMATS, default="edgelist")
     sub.add_argument("--json", action="store_true")
+    if guarded is not None:
+        for flag, options in guarded.items():
+            sub.add_argument(flag, **options)
+        sub.add_argument("--limit-n", type=_guard_limit, default=None, dest="limit_n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,20 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     count = subs.add_parser("count", help="count cliques exactly")
-    _add_graph_input(count)
-    count.add_argument("--method", choices=("peeling", "oracle", "both"), default="both")
-    count.add_argument("--limit-n", type=_guard_limit, default=None, dest="limit_n")
+    _add_graph_input(count, {"--method": {"choices": ("peeling", "oracle", "both"), "default": "both"}})
     count.set_defaults(handler=_cmd_count)
 
     sigma = subs.add_parser("sigma", help="exact clique subdivision number")
-    _add_graph_input(sigma)
-    sigma.add_argument("--limit-n", type=_guard_limit, default=None, dest="limit_n")
+    _add_graph_input(sigma, {})
     sigma.set_defaults(handler=_cmd_sigma)
 
     params = subs.add_parser("params", help="t parameter, witness, and sigma sandwich")
-    _add_graph_input(params)
-    params.add_argument("--t", type=int, default=None)
-    params.add_argument("--limit-n", type=_guard_limit, default=None, dest="limit_n")
+    _add_graph_input(params, {"--t": {"type": int, "default": None}})
     params.add_argument(
         "--approx",
         action="store_true",
@@ -385,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=_cmd_verify)
 
     construct = subs.add_parser("construct", help="emit a generator graph")
-    construct.add_argument("--family", choices=("star", "matching", "union", "tightness", "random"), required=True)
+    construct.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     construct.add_argument("--n", type=int, required=True)
     construct.add_argument("--t", type=int, default=None)
     construct.add_argument("--p", type=float, default=None)
@@ -394,11 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     construct.set_defaults(handler=_cmd_construct)
 
     bounds = subs.add_parser("bounds", help="bound evaluators and constants")
-    bounds.add_argument(
-        "--mode",
-        choices=("boundt", "case1", "case2", "coarse", "refined", "recursion-check"),
-        required=True,
-    )
+    bounds.add_argument("--mode", choices=tuple(_MODES), required=True)
     bounds.add_argument(
         "--params",
         default=None,
@@ -427,7 +403,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        graph = (load_graph(args.input, args.format),) if "input" in args else ()
+        return args.handler(args, *graph)
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import FormatError, PreconditionViolation
-from .graph import Graph, reach, simple_paths, vertex_mask
+from .graph import Graph, simple_paths, vertex_mask
 from .limits import IMMERSION_MAX_N, SIGMA_MAX_N, check_guard
 
 __all__ = [
@@ -263,8 +263,6 @@ def sigma_exhaustive(g: Graph, limit_n: int | None = None) -> int:
             missing = [
                 (u, v) for u, v in combinations(branch, 2) if not g.has_edge(u, v)
             ]
-            if not all(reach(adj, 1 << u, pool | 1 << v) >> v & 1 for u, v in missing):
-                continue
             missing.sort(key=lambda p: ((adj[p[0]] & adj[p[1]] & pool).bit_count(), p))
             if _pack(missing, pool, routes):
                 return h
@@ -330,17 +328,25 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
+def _vertices(raw: object) -> list[int]:
+    """A JSON array of JSON integers, as is: no string, boolean or fraction is
+    read as a vertex."""
+    if type(raw) is not list or any(type(v) is not int for v in raw):
+        raise TypeError(f"vertices must be an array of integers, got {raw!r}")
+    return raw
+
+
 def certificate_from_dict(data: dict) -> Certificate:
     try:
         kind = data["kind"]
-        terminals = frozenset(int(v) for v in data["terminals"])
+        terminals = frozenset(_vertices(data["terminals"]))
         paths: dict[tuple[int, int], tuple[int, ...]] = {}
         for entry in data["paths"]:
-            u, v = (int(x) for x in entry["ends"])
+            u, v = _vertices(entry["ends"])
             pair = (u, v) if u < v else (v, u)
             if pair in paths:
                 raise FormatError(f"duplicate path entry for pair {pair}")
-            paths[pair] = tuple(int(x) for x in entry["route"])
+            paths[pair] = tuple(_vertices(entry["route"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed certificate: {exc}") from exc
     if kind not in (KIND_STRONG, KIND_WEAK, KIND_SUBDIVISION):

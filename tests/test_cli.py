@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from clique_extremal import cli, matching_complement, save_graph, star_of_clique, write_edge_list
+from clique_extremal import Graph, cli, matching_complement, save_graph, star_of_clique, write_edge_list
 from clique_extremal.cli import main
 from clique_extremal.suite import CHECKS, worker_count
 
@@ -82,6 +83,49 @@ def test_embed_then_verify(capsys, tmp_path, mc8_path):
     assert "INVALID" in out
 
 
+def test_verify_rejects_a_non_integer_vertex(capsys, tmp_path):
+    graph = tmp_path / "three.el"
+    graph.write_text("3 1\n0 1\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"kind":"subdivision","terminals":"01","paths":[{"ends":"01","route":"01"}]}')
+    code, out, err = run(capsys, "verify", "--input", str(graph), "--certificate", str(cert))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed certificate: ")
+
+
+def test_verify_reads_its_default_mode_from_the_certificate_kind(capsys, tmp_path):
+    # 0-2-1 passes through the terminal 2: a weak immersion that is not a strong one
+    graph = tmp_path / "weak.el"
+    save_graph(Graph.from_edge_list(5, [(0, 2), (1, 2), (0, 3), (2, 3), (1, 4), (2, 4)]), str(graph), "edgelist")
+    cert = tmp_path / "weak.json"
+    cert.write_text(json.dumps({"kind": "weak_immersion", "terminals": [0, 1, 2], "paths": [
+        {"ends": [0, 1], "route": [0, 2, 1]},
+        {"ends": [0, 2], "route": [0, 3, 2]},
+        {"ends": [1, 2], "route": [1, 4, 2]},
+    ]}))
+    code, out, _ = run(capsys, "verify", "--input", str(graph), "--certificate", str(cert))
+    assert code == 0
+    assert out == "certificate VALID (weak)\n"
+    code, out, _ = run(capsys, "verify", "--input", str(graph), "--certificate", str(cert), "--mode", "strong")
+    assert code == 1
+    assert out.startswith("certificate INVALID (strong)\n")
+
+
+def test_count_both_reports_a_mismatch(capsys, monkeypatch, mc8_path):
+    real = cli.count_cliques_peeling
+
+    def off_by_one(g):
+        stats, trace = real(g)
+        return replace(stats, count_including_empty=stats.count_including_empty + 1), trace
+
+    monkeypatch.setattr(cli, "count_cliques_peeling", off_by_one)
+    code, out, err = run(capsys, "count", "--input", mc8_path, "--format", "graph6", "--method", "both")
+    assert code == 1
+    assert out == ""
+    assert "COUNT MISMATCH" in err
+
+
 def test_embed_precondition_failure_exit_code(capsys, tmp_path):
     from clique_extremal import immersion_tightness
 
@@ -125,6 +169,20 @@ def test_construct_missing_t_is_usage_error(capsys):
     code, _, err = run(capsys, "construct", "--family", "star", "--n", "12")
     assert code == 2
     assert "--t" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("construct", "--family", "random", "--n", "9"), "--p is required for the random family"),
+        (("bounds", "--mode", "recursion-check"), "--params m,x,t,d is required for recursion-check"),
+    ],
+)
+def test_a_missing_required_flag_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -665,3 +665,27 @@ def test_certificate_json_errors():
         certificate_from_dict({"kind": "nonsense", "terminals": [], "paths": []})
     with pytest.raises(FormatError):
         certificate_from_dict({"kind": "subdivision", "terminals": []})
+
+
+NON_INTEGER_VERTICES = [
+    '{"kind":"subdivision","terminals":"01","paths":[{"ends":"01","route":"01"}]}',
+    '{"kind":"subdivision","terminals":[0,true],"paths":[{"ends":[0,1],"route":[0,1]}]}',
+    '{"kind":"subdivision","terminals":[0,1],"paths":[{"ends":[false,1],"route":[0,1]}]}',
+    '{"kind":"subdivision","terminals":[0,1],"paths":[{"ends":[0,1],"route":[0.2,1.9]}]}',
+]
+
+
+@pytest.mark.parametrize("text", NON_INTEGER_VERTICES, ids=["string", "boolean-terminal", "boolean-end", "fraction"])
+def test_certificate_vertices_must_be_json_integers(text):
+    # each of these once read as the valid certificate 0-1 of the edge (0, 1)
+    with pytest.raises(FormatError, match="^malformed certificate: "):
+        certificate_loads(text)
+
+
+def test_certificate_negative_and_out_of_range_vertices_reach_the_verifier():
+    g = Graph.from_edge_list(3, [(0, 1)])
+    for bad in (-1, 3):
+        cert = certificate_loads(
+            f'{{"kind":"subdivision","terminals":[0,{bad}],"paths":[{{"ends":[0,{bad}],"route":[0,{bad}]}}]}}'
+        )
+        assert not verify_subdivision(g, cert)
