@@ -12,6 +12,7 @@ import math
 import sys
 
 from .bounds import (
+    _case1_best_at,
     boundt_value,
     case1_exponent,
     case1_supremum,
@@ -40,7 +41,7 @@ from .embed import (
 from .errors import FormatError, GuardExceeded, PreconditionViolation
 from .formats import _FORMATS, load_graph, write_edge_list, write_graph6
 from .graph import Graph
-from .limits import SIGMA_MAX_N, SUBSET_MAX_N, effective_guard
+from .limits import MAX_CONSTRUCT_N, SIGMA_MAX_N, SUBSET_MAX_N, effective_guard
 from .params import min_tset_missing, t_param, t_param_lower_estimate, tset_missing_upper_estimate
 from .suite import report_to_csv, report_to_json, run_suite
 
@@ -134,7 +135,7 @@ def _cmd_params(args: argparse.Namespace, g: Graph) -> int:
         f"max missing degree = {report.delta}",
         f"sigma sandwich: {report.sigma_lower} <= sigma <= {report.sigma_upper}",
     ]
-    if g.n <= effective_guard(SIGMA_MAX_N):
+    if g.n <= SIGMA_MAX_N:
         sigma = sigma_exhaustive(g)
         data["sigma"] = sigma
         lines.append(f"sigma (exhaustive) = {sigma}")
@@ -240,6 +241,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     for flag in flags:
         if flag != "seed" and getattr(args, flag) is None:
             raise ValueError(f"--{flag} is required for the {family} family")
+    if args.n > MAX_CONSTRUCT_N:
+        raise ValueError(f"construct is limited to --n <= {MAX_CONSTRUCT_N}, got --n {args.n}")
     g = build(args.n, *(getattr(args, flag) for flag in flags))
     if family == "tightness":
         g, terminals = g
@@ -288,8 +291,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         value, c, d = result.log2_bound, result.c_value, result.d_value
     elif mode == "case1":
         c = args.c
-        d = args.d if args.d is not None else int(2 * c * (c - 1)) + 1
-        value = case1_exponent(c, d)
+        value, d = _case1_best_at(c) if args.d is None else (case1_exponent(c, args.d), args.d)
     else:
         value, c, d = case2_exponent(args.c), args.c, None
     _emit({"mode": mode, "constant": value, "C": c, "D": d}, args.json, [

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from clique_extremal import Graph, cli, matching_complement, save_graph, star_of_clique, write_edge_list
+from clique_extremal import Graph, cli, matching_complement, read_graph6, save_graph, star_of_clique, write_edge_list
 from clique_extremal.cli import main
+from clique_extremal.limits import MAX_CONSTRUCT_N
 from clique_extremal.suite import CHECKS, worker_count
 
 
@@ -209,6 +210,30 @@ def test_construct_random_seed_is_zero_when_absent(capsys):
     assert out == run(capsys, "construct", "--family", "random", "--n", "9", "--p", "0.5", "--seed", "0")[1]
 
 
+def test_construct_beyond_its_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "construct", "--family", "matching", "--n", str(MAX_CONSTRUCT_N + 1))
+    assert code == 2
+    assert out == ""
+    assert f"limited to --n <= {MAX_CONSTRUCT_N}" in err
+    argv = ("construct", "--family", "random", "--n", "800", "--p", "0.5", "--output-format", "graph6")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert read_graph6(out.strip()).n == 800
+
+
+def test_bounds_case1_at_a_given_c_reports_the_best_d(capsys):
+    # below c = (1 + sqrt 3) / 2 the first admissible d is 1, and d = 2 scores higher
+    code, out, _ = run(capsys, "bounds", "--mode", "case1", "--c", "1.2", "--json")
+    assert code == 0
+    assert json.loads(out) == {"mode": "case1", "C": 1.2, "D": 2, "constant": 1.1356515803884768}
+    code, out, _ = run(capsys, "bounds", "--mode", "case1", "--c", "3", "--json")
+    assert code == 0
+    assert json.loads(out) == {"mode": "case1", "C": 3.0, "D": 13, "constant": 1.5799086162620992}
+    code, out, _ = run(capsys, "bounds", "--mode", "case1", "--c", "1.2", "--d", "1", "--json")
+    assert code == 0
+    assert json.loads(out) == {"mode": "case1", "C": 1.2, "D": 1, "constant": 1.1169925001442311}
+
+
 def test_bounds_modes(capsys):
     code, out, _ = run(capsys, "bounds", "--mode", "boundt", "--params", "10,4,1", "--json")
     assert code == 0
@@ -333,20 +358,19 @@ def test_guard_exceeded_exit_code(capsys, tmp_path):
     assert "limited to" in err
 
 
-def test_guard_env_override(capsys, tmp_path, monkeypatch):
+def test_limit_n_raises_the_guard_for_its_call(capsys, tmp_path):
     from clique_extremal import Graph
 
     path = str(tmp_path / "big.el")
     save_graph(Graph.from_edge_list(16, []), path, "edgelist")
     code, _, _ = run(capsys, "sigma", "--input", path)
     assert code == 3
-    monkeypatch.setenv("CLIQUE_EXTREMAL_MAX_N", "16")
-    code, out, _ = run(capsys, "sigma", "--input", path, "--json")
+    code, out, _ = run(capsys, "sigma", "--input", path, "--limit-n", "16", "--json")
     assert code == 0
     assert json.loads(out)["sigma"] == 1
 
 
-def test_negative_guard_is_a_usage_error(capsys, tmp_path, monkeypatch):
+def test_negative_guard_is_a_usage_error(capsys, tmp_path):
     from clique_extremal import Graph
 
     path = str(tmp_path / "small.el")
@@ -357,11 +381,13 @@ def test_negative_guard_is_a_usage_error(capsys, tmp_path, monkeypatch):
         assert exc.value.code == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "--limit-n: must be non-negative" in captured.err
-    monkeypatch.setenv("CLIQUE_EXTREMAL_MAX_N", "-1")
-    for command in ("sigma", "params", "count"):
-        code, out, err = run(capsys, command, "--input", path)
-        assert code == 2, command
-        assert out == "" and "CLIQUE_EXTREMAL_MAX_N must be non-negative" in err
+
+
+def test_the_environment_moves_no_guard(capsys, monkeypatch):
+    monkeypatch.setenv("CLIQUE_EXTREMAL_MAX_N", "10")
+    code, out, _ = run(capsys, "verify-paper", "--quick", "--json")
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "verify_paper_seed0_quick.json").read_text()
 
 
 def test_usage_error_exit_code(capsys):

@@ -182,17 +182,16 @@ def test_graph6_matches_networkx_at_800_vertices():
     assert read_graph6(theirs) == g
 
 
-def test_edge_list_header_beyond_parse_cap(capsys, tmp_path, monkeypatch):
+def test_edge_list_header_beyond_parse_cap(capsys, tmp_path):
     with pytest.raises(FormatError, match="limited to"):
         read_edge_list("1000000000 0\n")
     with pytest.raises(FormatError):
         read_edge_list(f"{MAX_PARSE_N + 1} 0\n")
     assert read_edge_list("5 0\n").n == 5
     # a raised size guard does not move the parse cap
-    monkeypatch.setenv("CLIQUE_EXTREMAL_MAX_N", str(10**12))
     path = tmp_path / "huge.el"
     path.write_text("1000000000 0\n", encoding="ascii")
-    assert main(["params", "--input", str(path), "--approx"]) == 2
+    assert main(["params", "--input", str(path), "--approx", "--limit-n", str(10**12)]) == 2
     assert "limited to" in capsys.readouterr().err
 
 

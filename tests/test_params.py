@@ -278,6 +278,13 @@ def test_min_tset_missing_validates():
         min_tset_missing(complete_graph(3), 2, limit_n=-1)
 
 
+def test_the_environment_moves_no_guard(monkeypatch):
+    g = matching_complement(20)
+    expected = t_param(g)
+    monkeypatch.setenv("CLIQUE_EXTREMAL_MAX_N", "10")
+    assert t_param(g) == expected
+
+
 def test_upper_estimate_bounds_the_minimum():
     for seed in range(20):
         g = random_graph(seed % 12 + 4, 0.5, seed)
