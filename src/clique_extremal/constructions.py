@@ -104,9 +104,20 @@ def immersion_tightness(n: int, t: int) -> tuple[Graph, frozenset[int]]:
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi sample G(n, p), deterministic for a fixed seed."""
+    """Erdos-Renyi sample G(n, p), deterministic for a fixed seed: one draw
+    per pair, u ascending, then v > u ascending."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edge_list(n, edges)
+    draw = random.Random(seed).random
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    bit = [1 << v for v in range(n)]
+    rows = [0] * n
+    for u in range(n):
+        upper = 0  # row u above the diagonal; the draws for u come in one run
+        for v in range(u + 1, n):
+            if draw() < p:
+                upper |= bit[v]
+                rows[v] |= bit[u]
+        rows[u] |= upper
+    return Graph(n, rows)

@@ -6,10 +6,15 @@ capped by ``limits.MAX_PARSE_N``, checked before anything is allocated.
 
 graph6 is the standard ASCII encoding (6 bits per character, offset 63,
 N(n) size prefix, upper-triangle bits in column order). Reader and writer
-round-trip byte-exactly. Both readers take time linear in the input.
+round-trip byte-exactly. Both readers take time and memory linear in n plus
+the size of the input, besides the n adjacency rows they build; the
+edge-list reader allocates no n x n table.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import eq
 
 from .errors import FormatError
 from .graph import Graph
@@ -27,11 +32,14 @@ __all__ = [
 _GRAPH6_HEADER = ">>graph6<<"
 # graph6 character -> its six bits, most significant first
 _SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
+# binary digit characters -> 0/1 selector bytes for itertools.compress
+_PICKS = bytes.maketrans(b"01", b"\x00\x01")
+# edge lines parsed per chunk, which bounds the token lists of one pass
+_CHUNK = 4096
 
 
 def read_edge_list(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise FormatError("edge-list input is empty")
     head = lines[0].split()
@@ -45,25 +53,66 @@ def read_edge_list(text: str) -> Graph:
         raise FormatError(f"header announces n = {n} vertices; edge lists are limited to n <= {MAX_PARSE_N}")
     if len(lines) - 1 != m:
         raise FormatError(f"header announces {m} edges but {len(lines) - 1} edge lines follow")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected edge line 'u v', got {ln!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise FormatError(f"non-integer endpoint in {ln!r}") from exc
+    rows = _edge_rows(n, lines)
+    if rows is not None:
+        return Graph(n, rows)
+    # the per-line rule names the first bad line, then the first bad pair
+    edges = [_edge_line(ln) for ln in lines[1:]]
     try:
         return Graph.from_edge_list(n, edges)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 
+def _edge_line(ln: str) -> tuple[int, int]:
+    parts = ln.split()
+    if len(parts) != 2:
+        raise FormatError(f"expected edge line 'u v', got {ln!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise FormatError(f"non-integer endpoint in {ln!r}") from exc
+
+
+def _edge_rows(n: int, lines: list[str]) -> list[int] | None:
+    """Adjacency rows of the edge lines ``lines[1:]``, read a chunk at a
+    time, or None unless every line is ``"u v"``: one space between the
+    plain decimal names of two distinct vertices. Scratch memory is
+    O(n + m); the name table has at most 2m entries, and a vertex beyond
+    it sends the input to the per-line rule."""
+    if n < 0:
+        return None
+    index = {str(v): v for v in range(min(n, 2 * (len(lines) - 1)))}
+    rows = [0] * n
+    for start in range(1, len(lines), _CHUNK):
+        chunk = lines[start : start + _CHUNK]
+        # one split per chunk, not a tuple or list per line, which the
+        # cyclic garbage collector would have to scan
+        try:
+            ends = list(map(index.__getitem__, " ".join(chunk).split(" ")))
+        except KeyError:
+            return None
+        us, vs = ends[0::2], ends[1::2]
+        # every token is a name, so 2 per line on average and no line that
+        # is a lone name means 2 on each line
+        if len(ends) != 2 * len(chunk) or any(map(index.__contains__, chunk)) or any(map(eq, us, vs)):
+            return None
+        for u, v in zip(us, vs):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows
+
+
 def write_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    """Header, then the edges u < v in lexicographic order, one row's
+    edges joined at a time."""
+    names = list(map(str, range(g.n)))
+    out = [f"{g.n} {g.num_edges}\n"]
+    for u, row in enumerate(g.rows):
+        if higher := row >> (u + 1):
+            picks = bin(higher)[:1:-1].encode().translate(_PICKS)  # bit i: edge (u, u + 1 + i)
+            out.append(f"{u} " + f"\n{u} ".join(compress(names[u + 1 : u + 1 + len(picks)], picks)) + "\n")
+    return "".join(out)
 
 
 def _encode_size(n: int) -> str:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from clique_extremal import (
@@ -199,6 +201,30 @@ def test_random_graph_extremes_and_determinism():
     assert random_graph(12, 0.37, 99) != random_graph(12, 0.37, 100)
     with pytest.raises(ValueError):
         random_graph(5, 1.5, 0)
+
+
+def reference_random_graph(n: int, p: float, seed: int) -> Graph:
+    """The earlier builder, kept as the reference for the draw order: an
+    edge list, one draw per pair u < v in lexicographic order."""
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph.from_edge_list(n, edges)
+
+
+def test_random_graph_draws_in_the_reference_order():
+    for n in range(41):
+        for p in (0.0, 0.04, 0.37, 0.5, 1.0):
+            for seed in (0, 1, 7, 2**31 - 1):
+                g = random_graph(n, p, seed)
+                assert (g.n, g.rows) == (n, reference_random_graph(n, p, seed).rows), (n, p, seed)
+    assert random_graph(800, 0.5, 11) == reference_random_graph(800, 0.5, 11)
+
+
+def test_random_graph_edge_sizes():
+    assert random_graph(0, 0.5, 3) == Graph(0, [])
+    assert random_graph(1, 1.0, 3) == Graph(1, [0])
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        random_graph(-1, 0.5, 3)
 
 
 def test_generators_satisfy_graph_invariants():

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from clique_extremal import (
     FormatError,
     Graph,
     load_graph,
+    matching_complement,
     random_graph,
     read_edge_list,
     read_graph6,
@@ -51,6 +55,144 @@ def reference_read_graph6(text: str) -> Graph:
     return Graph(n, rows)
 
 
+def reference_read_edge_list(text: str) -> Graph:
+    """The earlier per-line reader, kept as the reference for what the
+    edge-list reader accepts and for the text of each error."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise FormatError("edge-list input is empty")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise FormatError(f"expected header 'n m', got {lines[0]!r}")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise FormatError(f"non-integer header {lines[0]!r}") from exc
+    if n > MAX_PARSE_N:
+        raise FormatError(f"header announces n = {n} vertices; edge lists are limited to n <= {MAX_PARSE_N}")
+    if len(lines) - 1 != m:
+        raise FormatError(f"header announces {m} edges but {len(lines) - 1} edge lines follow")
+    edges = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise FormatError(f"expected edge line 'u v', got {ln!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise FormatError(f"non-integer endpoint in {ln!r}") from exc
+    try:
+        return Graph.from_edge_list(n, edges)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def reference_write_edge_list(g: Graph) -> str:
+    """The earlier writer: one string per edge, joined once."""
+    lines = [f"{g.n} {g.num_edges}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def _read_outcome(reader, text: str):
+    try:
+        g = reader(text)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "graph", g.n, g.rows
+
+
+# tokens int() reads in unusual ways or not at all, and separators str.split
+# reads as whitespace
+_ODD_TOKENS = ["0", "1", "2", "3", "4", "5", "-1", "07", "00", "+2", "1_0", "x", "\u0661", "9" * 5000]
+_SEPARATORS = [" ", "  ", "\t", " \t", "\x1f"]
+
+
+def _malformed_edge_list(rng: random.Random) -> str:
+    lines = []
+    for _ in range(rng.randrange(6)):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append("# " + rng.choice(_ODD_TOKENS))
+        elif kind < 0.15:
+            lines.append(rng.choice(["", "\t"]))
+        else:
+            tokens = [rng.choice(_ODD_TOKENS) for _ in range(rng.choice((1, 2, 2, 2, 3)))]
+            line = tokens[0] + "".join(rng.choice(_SEPARATORS) + t for t in tokens[1:])
+            lines.append("\t" + line + " " if rng.random() < 0.1 else line)
+    m = sum(1 for ln in lines if ln.strip() and not ln.strip().startswith("#")) + rng.choice((0, 0, 0, 1, -1))
+    head = f"{rng.choice((-1, 0, 1, 3, 5))} {m}" if rng.random() < 0.95 else rng.choice(["x 1", "3", "3 1 1"])
+    return "\n".join([head, *lines]) + rng.choice(["\n", "", "\r\n"])
+
+
+def test_edge_list_reader_matches_the_per_line_reference():
+    rng = random.Random(20240615)
+    outcomes = set()
+    for _ in range(4000):
+        text = _malformed_edge_list(rng)
+        want = _read_outcome(reference_read_edge_list, text)
+        assert _read_outcome(read_edge_list, text) == want, text
+        outcomes.add(want[0])
+    assert outcomes == {"graph", "error"}
+
+
+def test_edge_list_reader_matches_the_reference_across_chunks():
+    # about 4,300 edge lines, more than one parsing chunk, with defects
+    # planted on either side of the chunk boundary
+    rng = random.Random(7)
+    defects = ["3 3", "131 1", "1\t2", "2 1", "07 3", "4", "4 5 6", "0 -1", "0 130", "# c", ""]
+    for trial in range(12):
+        g = random_graph(131, 0.5, trial)
+        lines = write_edge_list(g).splitlines()
+        for _ in range(trial % 3):
+            lines[rng.choice((rng.randrange(1, len(lines)), 4096, 4097))] = rng.choice(defects)
+        m = sum(1 for ln in lines[1:] if ln.strip() and not ln.startswith("#"))
+        text = "\n".join([f"131 {m}", *lines[1:]]) + "\n"
+        want = _read_outcome(reference_read_edge_list, text)
+        assert _read_outcome(read_edge_list, text) == want
+        if trial % 3 == 0:
+            assert want == ("graph", 131, g.rows)
+
+
+def test_huge_edgeless_header_allocates_only_its_rows():
+    tracemalloc.start()
+    try:
+        g = read_edge_list(f"{MAX_PARSE_N} 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.num_edges) == (MAX_PARSE_N, 0)
+    assert peak < 64 * 2**20
+
+
+def test_edge_list_writer_matches_the_joined_reference():
+    graphs = [
+        Graph(0, []),
+        Graph(1, [0]),
+        Graph.from_edge_list(7, [(1, 5), (5, 6)]),  # isolated 0, 2, 3 and 4
+        Graph.from_edge_list(12, [(0, 11)]),
+        complete_graph(9),
+        matching_complement(2),
+        matching_complement(16),
+        *(random_graph(n, p, n) for n in (2, 31, 64, 65, 200) for p in (0.0, 0.04, 0.5, 1.0)),
+    ]
+    assert write_edge_list(Graph(0, [])) == "0 0\n"
+    for g in graphs:
+        assert write_edge_list(g) == reference_write_edge_list(g), g
+
+
+def test_edge_list_writer_peak_memory_is_near_its_output():
+    g = matching_complement(1000)
+    tracemalloc.start()
+    try:
+        text = write_edge_list(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
+
+
 def test_edge_list_round_trip():
     for seed in range(10):
         g = random_graph(11, 0.5, seed)
@@ -76,6 +218,10 @@ def test_edge_list_errors():
         read_edge_list("2 1\n0 5\n")  # out of range
     with pytest.raises(FormatError):
         read_edge_list("2 1\n0 x\n")
+    # a lone name and three names: two names per line on average
+    for text in ("5 2\n1\n2 3 0\n", "5 2\n2 3 0\n1\n"):
+        with pytest.raises(FormatError, match="expected edge line 'u v'"):
+            read_edge_list(text)
 
 
 def test_graph6_known_value():
