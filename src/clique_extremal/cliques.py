@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, iter_bits, reach
+from .graph import Graph, reach
 from .limits import ORACLE_MAX_N, check_guard
 
 __all__ = ["CliqueStats", "PeelingTrace", "count_cliques_oracle", "count_cliques_peeling", "peel_trace"]
@@ -59,7 +59,11 @@ def _min_degree_vertex(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
     """Vertex of minimum degree in the induced submask, lowest index on ties."""
     best_v = -1
     best_d = 1 << 62
-    for v in iter_bits(mask):
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
         d = (adj[v] & mask).bit_count()
         if d < best_d:
             best_v, best_d = v, d
@@ -95,7 +99,11 @@ def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
             continue
         best_v = -1
         best_d = -1
-        for v in iter_bits(mask):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             d = (comp[v] & mask).bit_count()
             if d > best_d:
                 best_v, best_d = v, d

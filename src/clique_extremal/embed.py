@@ -242,6 +242,11 @@ def sigma_exhaustive(g: Graph, limit_n: int | None = None) -> int:
     Branch sets are scanned for descending h with degree pruning (a branch
     vertex needs degree at least h - 1); path packing is exhaustive over the
     free-vertex mask, so paths of any length count.
+
+    Counting cut: the paths are internally vertex-disjoint and a missing
+    branch pair's path has at least one internal vertex, all of them in the
+    free pool, so a branch set with more missing pairs than pool vertices
+    cannot be routed and is skipped before any packing.
     """
     check_guard("sigma_exhaustive", g.n, SIGMA_MAX_N, limit_n)
     n = g.n
@@ -263,6 +268,8 @@ def sigma_exhaustive(g: Graph, limit_n: int | None = None) -> int:
             missing = [
                 (u, v) for u, v in combinations(branch, 2) if not g.has_edge(u, v)
             ]
+            if len(missing) > pool.bit_count():
+                continue
             missing.sort(key=lambda p: ((adj[p[0]] & adj[p[1]] & pool).bit_count(), p))
             if _pack(missing, pool, routes):
                 return h

@@ -6,13 +6,15 @@ capped by ``limits.MAX_PARSE_N``, checked before anything is allocated.
 
 graph6 is the standard ASCII encoding (6 bits per character, offset 63,
 N(n) size prefix, upper-triangle bits in column order). Reader and writer
-round-trip byte-exactly. Both readers take time and memory linear in n plus
-the size of the input, besides the n adjacency rows they build; the
-edge-list reader allocates no n x n table.
+round-trip byte-exactly. The graph6 reader takes time and memory linear in n
+plus the size of the input, besides the n adjacency rows it builds. The
+edge-list reader allocates no n x n table, but each edge's OR copies its
+row, so a vertex with d edges costs d copies of a row of up to n bits.
 """
 
 from __future__ import annotations
 
+from binascii import b2a_base64
 from itertools import compress
 from operator import eq
 
@@ -32,6 +34,10 @@ __all__ = [
 _GRAPH6_HEADER = ">>graph6<<"
 # graph6 character -> its six bits, most significant first
 _SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
+# base64 digit -> the graph6 character of the same six bits
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 # binary digit characters -> 0/1 selector bytes for itertools.compress
 _PICKS = bytes.maketrans(b"01", b"\x00\x01")
 # edge lines parsed per chunk, which bounds the token lists of one pass
@@ -149,8 +155,12 @@ def write_graph6(g: Graph) -> str:
     head = _encode_size(g.n)
     # column j: the pairs (i, j) for i = 0..j-1, i.e. row j's low bits, least first
     bits = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
-    bits += "0" * (-len(bits) % 6)
-    return head + "".join(chr(63 + int(bits[k : k + 6], 2)) for k in range(0, len(bits), 6))
+    size = -(-len(bits) // 6)
+    # padded to whole base64 quanta (24 bits), whose six-bit digits are then
+    # renamed from the base64 alphabet to graph6's chr(63)..chr(126)
+    bits += "0" * (-len(bits) % 24)
+    body = b2a_base64(int("0" + bits, 2).to_bytes(len(bits) // 8, "big"), newline=False)
+    return head + body[:size].translate(_BASE64_TO_GRAPH6).decode("ascii")
 
 
 def read_graph6(text: str) -> Graph:

@@ -37,8 +37,10 @@ def reach(adj: Sequence[int], seed: int, allowed: int) -> int:
     reached = frontier = seed
     while frontier:
         grown = 0
-        for w in iter_bits(frontier):
-            grown |= adj[w]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown |= adj[low.bit_length() - 1]
         frontier = grown & allowed & ~reached
         reached |= frontier
     return reached

@@ -36,6 +36,7 @@ import clique_extremal
 from clique_extremal import suite
 from clique_extremal.embed import KIND_STRONG, KIND_SUBDIVISION
 from clique_extremal.graph import iter_bits, reach, simple_paths, vertex_mask
+from clique_extremal.limits import SIGMA_MAX_N
 
 from conftest import complete_graph, cycle_graph
 
@@ -407,6 +408,12 @@ def test_sigma_subdivision_needs_long_paths():
     assert sigma_exhaustive(g) == 4
 
 
+def test_sigma_matching_complements_follow_the_union_block_rule():
+    # sigma(MC(b)) for b = 2..14 even, up to the guard SIGMA_MAX_N = 14
+    sigmas = [sigma_exhaustive(matching_complement(b)) for b in range(2, SIGMA_MAX_N + 1, 2)]
+    assert sigmas == [1, 3, 4, 6, 7, 9, 10]
+
+
 def test_has_immersion_with_ends_tightness():
     for n, t in [(8, 4), (10, 4)]:
         g, terminals = immersion_tightness(n, t)
@@ -563,6 +570,16 @@ def test_searches_match_the_reference(instance):
         assert has_immersion_with_ends(g, terminals, strong=strong) == reference_has_immersion(
             g, terminals, strong
         )
+
+
+def test_sigma_matches_the_reference_beyond_nine_vertices():
+    # 48 seeded G(n, p) with n = 10..12, past the property's n <= 9; both
+    # searches together take about 0.1 s on a 2-core host
+    for n in (10, 11, 12):
+        for p in (0.3, 0.5, 0.7, 0.85):
+            for seed in range(4):
+                g = random_graph(n, p, seed)
+                assert sigma_exhaustive(g) == reference_sigma(g), (n, p, seed)
 
 
 _SCAN = """

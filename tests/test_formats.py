@@ -19,6 +19,7 @@ from clique_extremal import (
     write_graph6,
 )
 from clique_extremal.cli import main
+from clique_extremal.formats import _encode_size
 from clique_extremal.limits import MAX_PARSE_N
 
 from conftest import complete_graph
@@ -316,6 +317,24 @@ def graph6_strings(draw):
 def test_graph6_decoder_matches_per_bit_reference(encoded, header):
     text = (">>graph6<<" if header else "") + encoded + "\n"
     assert read_graph6(text) == reference_read_graph6(text)
+
+
+def reference_write_graph6(g: Graph) -> str:
+    """The earlier writer, kept as the reference: one generator step and one
+    int() per six-bit character."""
+    head = _encode_size(g.n)
+    # column j: the pairs (i, j) for i = 0..j-1, i.e. row j's low bits, least first
+    bits = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(63 + int(bits[k : k + 6], 2)) for k in range(0, len(bits), 6))
+
+
+def test_graph6_writer_matches_the_per_character_reference():
+    # n = 0..70 crosses the n = 63 switch to the four-character size prefix
+    graphs = [random_graph(n, p, n) for n in range(71) for p in (0.0, 0.3, 0.5, 1.0)]
+    graphs += [matching_complement(200), random_graph(800, 0.5, 5)]
+    for g in graphs:
+        assert write_graph6(g) == reference_write_graph6(g), g
 
 
 def test_graph6_matches_networkx_at_800_vertices():
