@@ -19,6 +19,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -273,20 +274,24 @@ def g_recursion_check(m: int, x: int, t: int, d: int) -> RecursionCheck:
 
 
 def _grid_zoom_max(
-    f: Callable[[float], float],
+    f: Callable[[float, float], float],
     lo: float,
     hi: float,
     steps: int = 400,
     rounds: int = 10,
 ) -> tuple[float, float]:
     """Deterministic grid refinement maximizer, robust to the ceiling jumps
-    of the objective. Returns (argmax, max)."""
-    best_c, best_v = lo, f(lo)
+    of the objective. Returns (argmax, max).
+
+    ``f(c, floor)`` gets the running best as ``floor``. The grid only acts
+    on a value above it, so ``f`` must be exact where its value exceeds
+    ``floor`` and may return anything at most ``floor`` elsewhere."""
+    best_c, best_v = lo, f(lo, -math.inf)
     for _ in range(rounds):
         span = hi - lo
         for i in range(steps + 1):
             c = lo + span * i / steps
-            v = f(c)
+            v = f(c, best_v)
             if v > best_v:
                 best_c, best_v = c, v
         width = 4.0 * span / steps
@@ -299,34 +304,57 @@ def _grid_zoom_max(
 
 def case1_supremum() -> BoundResult:
     """sup over c > 1 of the sparse-branch exponent at its best admissible
-    integer d; stays below 1.64."""
-    c0, v0 = _grid_zoom_max(lambda c: _case1_best_at(c)[0], 1.0 + 1e-6, _C_MAX)
+    integer d; stays below 1.64. Computed once per process."""
+    return _case1_supremum()
+
+
+@cache
+def _case1_supremum() -> BoundResult:
+    c0, v0 = _grid_zoom_max(lambda c, floor: _case1_best_at(c)[0], 1.0 + 1e-6, _C_MAX)
     return BoundResult(v0, v0, CASE_ABOVE, c0, _case1_best_at(c0)[1])
 
 
 def case2_supremum() -> BoundResult:
-    """sup over c >= 3 of the dense-branch closed form; stays below 2.92."""
-    c0, v0 = _grid_zoom_max(case2_exponent, 3.0, _C_MAX)
+    """sup over c >= 3 of the dense-branch closed form; stays below 2.92.
+    Computed once per process."""
+    return _case2_supremum()
+
+
+@cache
+def _case2_supremum() -> BoundResult:
+    c0, v0 = _grid_zoom_max(lambda c, floor: case2_exponent(c), 3.0, _C_MAX)
     return BoundResult(v0, v0, CASE_BELOW, c0, None)
 
 
 _per_d = [(0.0, 0.0)]  # [D] = (log2(D + 1), 1 - log2(1 + 2^(-1/D))), the second positive
 
 
-def _refined_best_at(c: float) -> tuple[float, int | None, str]:
+def _refined_best_at(c: float, floor: float = -math.inf) -> tuple[float, int | None, str]:
     """Best of the sparse branch and, for each integer D in [2(c-1), 2c(c-1)],
     the per-t limit of the exact product bound at n = ct, x = (c-1)t, a sum
     of term1 (the h = ceil(delta) factor), term2 = inv2x * s(D) (the factors
     h = D+1..ceil(delta)-1; s(D) = P[ceil(delta)-1] - P[D], P the log-ratio
-    prefix table), term3 (the (D+1) power) and term4 (the degree-capped
-    clique bound). Floors and ceilings that survive the limit are kept; the
-    per-t vanishing remainders are dropped. At an integer delta the product
-    for D = delta is empty: that D has no term1 and no term2.
+    prefix table), term3 = (inv2x - 1/D) * log2(D+1) (the (D+1) power) and
+    term4 <= 1 (the degree-capped clique bound). Floors and ceilings that
+    survive the limit are kept; the per-t vanishing remainders are dropped.
+    At an integer delta the product for D = delta is empty: that D has no
+    term1 and no term2.
 
-    Tail cut: s(D) never increases with D, term3 <= inv2x * log2(hi + 1) and
-    term4 <= 1, so every D' >= D scores at most cap + inv2x * s(D), with 1e-9
-    in cap for rounding. Updates need v > best_v, so once that bound is
-    <= best_v no later D can change the value or the argmax.
+    Exact above ``floor``: where the value exceeds ``floor`` it, its D and
+    its tag are returned as if every D were evaluated; elsewhere the result
+    is some value at most ``floor``. The D loop stops once no later D can
+    beat bar = max(best so far, floor). Updates need v > best, so a stop at
+    the best changes nothing, and a stop at a larger ``floor`` leaves a best
+    that is at most ``floor``.
+
+    Tail cut. Let m = min(hi, ceil(delta) - 1). Every D' in [D, m] scores at
+    most term1 + inv2x * (s(D) + log2(D+1)) - log2(m+1)/m + 1, with 1e-9 for
+    rounding. Proof: s(D) + log2(D+1) never increases with D, as its step is
+    log2((D+2)/(D+1)) - log2(D+2)/(D+1) and log2((D+2)/(D+1)) <=
+    1/((D+1) ln 2) < log2(D+2)/(D+1) once D + 2 > e; log2(D+1)/D decreases,
+    so it is at least log2(m+1)/m on [D, m]; and term4 <= 1. At an integer
+    delta, D = delta scores at most cap = term1 + inv2x * log2(hi+1) + 1
+    (term1 > 0), and is evaluated only when cap is above the bar.
     """
     best_v, best_d = _case1_best_at(c)
     tag = CASE_ABOVE
@@ -336,19 +364,30 @@ def _refined_best_at(c: float) -> tuple[float, int | None, str]:
     hi = math.floor(delta)
     inv2x = 1.0 / (2.0 * (c - 1.0))
     term1 = (c - (ceil_delta - 1) * inv2x) / ceil_delta * math.log2(ceil_delta + 1.0)
-    cap = term1 + inv2x * math.log2(hi + 1.0) + 1.0 + 1e-9
-    top, prefix, per_d = _log_ratio_sum(1, ceil_delta - 1), _log_ratio_prefix, _per_d
-    for big_d in range(lo, hi + 1):
-        head, s = (term1, top - prefix[big_d]) if big_d < ceil_delta else (0.0, 0.0)
-        if cap + inv2x * s <= best_v:
-            break
-        while len(per_d) <= big_d:  # grown only as far as the cut lets a scan go
-            d = len(per_d)
-            per_d.append((math.log2(d + 1.0), 1.0 - math.log2(1.0 + 2.0 ** (-1.0 / d))))
-        log2_succ, ramp = per_d[big_d]
-        v = head + inv2x * s + (inv2x - 1.0 / big_d) * log2_succ + (1.0 - (c - 1.0) / big_d * ramp)
+    bar = max(best_v, floor)
+    m = min(hi, ceil_delta - 1)
+    if m >= lo:
+        rest = term1 + 1.0 + 1e-9 - math.log2(m + 1.0) / m
+        top, prefix, per_d = _log_ratio_sum(1, ceil_delta - 1), _log_ratio_prefix, _per_d
+        for big_d in range(lo, m + 1):
+            while len(per_d) <= big_d:  # grown only as far as the cut lets a scan go
+                d = len(per_d)
+                per_d.append((math.log2(d + 1.0), 1.0 - math.log2(1.0 + 2.0 ** (-1.0 / d))))
+            log2_succ, ramp = per_d[big_d]
+            s = top - prefix[big_d]
+            if rest + inv2x * (s + log2_succ) <= bar:
+                break
+            v = term1 + inv2x * s + (inv2x - 1.0 / big_d) * log2_succ + (1.0 - (c - 1.0) / big_d * ramp)
+            if v > best_v:
+                best_v, best_d, tag = v, big_d, CASE_REFINED
+                bar = max(v, floor)
+    # at an integer delta, D = delta is scored alone: no term1 and no term2
+    log2_succ = math.log2(hi + 1.0)
+    if hi == ceil_delta and term1 + inv2x * log2_succ + 1.0 + 1e-9 > bar:
+        ramp = 1.0 - math.log2(1.0 + 2.0 ** (-1.0 / hi))
+        v = (inv2x - 1.0 / hi) * log2_succ + (1.0 - (c - 1.0) / hi * ramp)
         if v > best_v:
-            best_v, best_d, tag = v, big_d, CASE_REFINED
+            best_v, best_d, tag = v, hi, CASE_REFINED
     return best_v, best_d, tag
 
 
@@ -394,7 +433,9 @@ def optimize_constant(mode: str = "coarse") -> BoundResult:
         return BoundResult(3.0, 3.0, CASE_TRIVIAL, 3.0, None)
     if mode != "refined":
         raise ValueError(f"mode must be 'coarse' or 'refined', got {mode!r}")
-    c_best, v_best = _grid_zoom_max(lambda c: _refined_best_at(c)[0], 1.0 + 1e-6, 60.0, steps=600, rounds=12)
+    c_best, v_best = _grid_zoom_max(
+        lambda c, floor: _refined_best_at(c, floor)[0], 1.0 + 1e-6, 60.0, steps=600, rounds=12
+    )
     if _refined_tail_bound(60.0) >= v_best:
         raise AssertionError(f"the tail bound for c >= 60 reached the grid maximum {v_best}")
     value, d_value, tag = _refined_best_at(c_best)

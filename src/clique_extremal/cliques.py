@@ -79,7 +79,13 @@ def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
     empty one included, and its independence number). The explicit stack
     holds masks to solve and (mask, first, second, split) entries that
     combine two solved parts: a product when ``split`` (the component of a
-    maximum-degree vertex v and the rest), else a branch on v."""
+    maximum-degree vertex v and the rest), else a branch on v.
+
+    A mask whose complement has maximum degree at most 1 is a matching of e
+    edges (half the degree sum) and closes as (3^e * 2^(k-2e), k - e) on k
+    vertices: each edge contributes none, one or the other end. When v's
+    closed complement neighbourhood covers the mask, v's component is the
+    whole mask, so the branch is taken without a ``reach``."""
     check_guard("count_cliques_oracle", g.n, ORACLE_MAX_N, limit_n)
     comp = g.complement().rows
     memo: dict[int, tuple[int, int]] = {0: (1, 0)}
@@ -99,23 +105,26 @@ def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
             continue
         best_v = -1
         best_d = -1
+        degrees = 0
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
             d = (comp[v] & mask).bit_count()
+            degrees += d
             if d > best_d:
                 best_v, best_d = v, d
-        if best_d == 0:
-            k = mask.bit_count()
-            memo[mask] = (1 << k, k)
+        if best_d <= 1:  # a matching of e edges: 3 choices per edge, 2 per other vertex
+            k, e = mask.bit_count(), degrees >> 1
+            memo[mask] = (3**e << (k - 2 * e), k - e)
             continue
-        piece = reach(comp, 1 << best_v, mask)
+        second = mask & ~(comp[best_v] | (1 << best_v))
+        piece = reach(comp, 1 << best_v, mask) if second else mask
         if piece != mask:
             first, second, split = mask & ~piece, piece, True
         else:
-            first, second, split = mask & ~(1 << best_v), mask & ~(comp[best_v] | (1 << best_v)), False
+            first, split = mask & ~(1 << best_v), False
         stack += ((mask, first, second, split), second, first)
     count, alpha = memo[g.full_mask]
     return CliqueStats(count, count - 1, alpha)
@@ -132,7 +141,10 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
     level and above it the child N(v) & residual, one level deeper, so the
     stack holds one entry per level. At depth 0 the trace records each pick,
     which removes one vertex, so the sizes run from n down to 0; deeper, a
-    residual that is a clique adds all its non-empty subsets."""
+    residual that is a clique adds all its non-empty subsets. Below depth 0
+    the picks do not change the count, so a residual of one or two
+    vertices closes without a pick: a vertex or an edge is a clique, and
+    two non-adjacent vertices add two cliques of one vertex."""
     adj = g.rows
     picked: list[int] = []
     missing_degrees: list[int] = []
@@ -142,6 +154,17 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
     while stack:
         residual, depth = stack.pop()
         size = residual.bit_count()
+        if depth and size < 3:  # a vertex, an edge, or two singletons
+            low = residual & -residual
+            if size == 1 or adj[low.bit_length() - 1] & residual:
+                total += (1 << size) - 1
+                depth += size
+            else:
+                total += 2
+                depth += 1
+            if depth > omega:
+                omega = depth
+            continue
         v, d = _min_degree_vertex(adj, residual)
         if not depth:
             picked.append(v)

@@ -507,7 +507,16 @@ def reference_refined_case2(c, big_d):
     return term1 + term2 + term3 + term4
 
 
-def reference_refined_best_at(c):
+def reference_refined_value(c, big_d):
+    """The per-D objective with the empty product: at an integer delta,
+    D = delta has no term1 and no term2."""
+    if big_d != 2.0 * c * (c - 1.0):
+        return reference_refined_case2(c, big_d)
+    term3 = (1.0 / (2.0 * (c - 1.0)) - 1.0 / big_d) * math.log2(big_d + 1.0)
+    return term3 + 1.0 - (c - 1.0) / big_d * (1.0 - math.log2(1.0 + 2.0 ** (-1.0 / big_d)))
+
+
+def reference_refined_best_at(c, value=reference_refined_case2):
     """The earlier objective: every D in [2(c-1), 2c(c-1)], no tail cut."""
     delta = 2.0 * c * (c - 1.0)
     lo = max(1, math.ceil(2.0 * (c - 1.0)))
@@ -515,7 +524,7 @@ def reference_refined_best_at(c):
     best_v, best_d = bounds._case1_best_at(c)
     tag = "above-delta"
     for big_d in range(lo, hi + 1):
-        v = reference_refined_case2(c, big_d)
+        v = value(c, big_d)
         if v > best_v:
             best_v, best_d, tag = v, big_d, "refined-product"
     return best_v, best_d, tag
@@ -545,6 +554,49 @@ def test_refined_objective_is_continuous_at_an_integer_delta():
     below = bounds._refined_best_at(2.0 - 1e-9)
     assert abs(at[0] - below[0]) <= 1e-6
     assert at[0] < 1.8165
+
+
+def _floor_contract_points():
+    """The first round of optimize_constant's grid, the floats around
+    c* = (1 + sqrt 79)/2 (delta = 39), and c_k = (1 + sqrt(1 + 2k))/2
+    (delta = k) with their lower neighbours."""
+    lo, hi = 1.0 + 1e-6, 60.0
+    points = [lo + (hi - lo) * i / 600 for i in range(601)]
+    star = (1.0 + math.sqrt(79.0)) / 2.0
+    for k in range(60):
+        points += [star + k * 1e-9, star - k * 1e-9, star + k * 2.0**-50, star - k * 2.0**-50]
+    for k in range(1, 2000, 7):
+        c_k = (1.0 + math.sqrt(1.0 + 2.0 * k)) / 2.0
+        points += [c_k, math.nextafter(c_k, 0.0)]
+    return points
+
+
+def test_refined_objective_is_exact_above_its_floor():
+    # exact where the value exceeds floor, at most floor elsewhere
+    rng = random.Random("floor-contract")
+    integer_deltas = 0
+    for c in _floor_contract_points():
+        want = reference_refined_best_at(c, reference_refined_value)
+        integer_deltas += 2.0 * c * (c - 1.0) == math.floor(2.0 * c * (c - 1.0))
+        assert bounds._refined_best_at(c) == want, c
+        v = want[0]
+        for floor in (v - 1e-3, v - 1e-12, math.nextafter(v, 0.0), v, v + 1e-12, rng.uniform(1.0, 1.9)):
+            got = bounds._refined_best_at(c, floor)
+            if v > floor:
+                assert got == want, (c, floor)
+            else:
+                assert got[0] <= floor, (c, floor)
+    assert integer_deltas >= 20
+
+
+def test_tail_sum_plus_log_never_increases():
+    # the lemma behind _refined_best_at's cut: s(D) + log2(D + 1) does not
+    # increase, read off the prefix table as P[N] - P[D] + log2(D + 1)
+    top = 10**5 + 1
+    bounds._log_ratio_sum(1, top)
+    prefix = bounds._log_ratio_prefix
+    values = [prefix[top] - prefix[d] + math.log2(d + 1.0) for d in range(1, top)]
+    assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import inspect
+import random
 import sys
 
 import pytest
@@ -22,7 +23,6 @@ from clique_extremal.cliques import (
     STOP_SMALL_DROP,
     CliqueStats,
     PeelingTrace,
-    _min_degree_vertex,
 )
 from clique_extremal.graph import iter_bits, reach
 from clique_extremal.limits import ORACLE_MAX_N, check_guard
@@ -31,7 +31,9 @@ from conftest import brute_count_cliques, complete_graph, cycle_graph
 
 
 # The recursive counters as they were before both moved onto explicit stacks,
-# kept verbatim (only renamed) as references for the stack versions.
+# kept verbatim (only renamed) as references for the stack versions; the
+# peeling reference picks with reference_min_degree_vertex (below), not with
+# the module's own pick, so its trace checks the depth-0 picks.
 
 
 def reference_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
@@ -96,7 +98,7 @@ def reference_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
         residual = mask
         while residual:
             size = residual.bit_count()
-            v, d = _min_degree_vertex(adj, residual)
+            v, d = reference_min_degree_vertex(adj, residual)
             if d == size - 1:
                 if depth + size > omega:
                     omega = depth + size
@@ -114,7 +116,7 @@ def reference_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
     residual = g.full_mask
     while residual:
         size = residual.bit_count()
-        v, d = _min_degree_vertex(adj, residual)
+        v, d = reference_min_degree_vertex(adj, residual)
         picked.append(v)
         missing_degrees.append(size - 1 - d)
         total += count_within(adj[v] & residual, 1)
@@ -175,6 +177,36 @@ def test_counters_need_no_interpreter_stack():
     finally:
         sys.setrecursionlimit(old)
     assert oracle == peeling == CliqueStats(3**15, 3**15 - 1, 15)
+
+
+def _partial_matching_complement(n: int, e: int, rng: random.Random) -> Graph:
+    """K_n minus e disjoint edges on randomly chosen vertices."""
+    order = rng.sample(range(n), n)
+    partner = dict(zip(order[: 2 * e : 2], order[1 : 2 * e : 2]))
+    partner.update({b: a for a, b in partner.items()})
+    full = (1 << n) - 1
+    return Graph(n, [full & ~(1 << v) & ~(1 << partner.get(v, v)) for v in range(n)])
+
+
+def _matching_stats(n: int, e: int) -> CliqueStats:
+    count = 3**e << (n - 2 * e)
+    return CliqueStats(count, count - 1, n - e)
+
+
+def test_counters_on_partial_matching_complements_up_to_n_40():
+    # beyond the hypothesis range (n <= 14): the complement is a matching
+    # with e edges, so 3^e * 2^(n-2e) cliques and clique number n - e. The
+    # oracle closes such a mask at once; peeling takes about 2^e nodes, so
+    # it gets e <= 12, and the perfect matchings go to the oracle alone
+    rng = random.Random("partial-matching")
+    for n in range(1, 41, 3):
+        for e in {0, rng.randint(0, min(n // 2, 12)), min(n // 2, 12)}:
+            g = _partial_matching_complement(n, e, rng)
+            assert count_cliques_oracle(g) == _matching_stats(n, e), (n, e)
+            assert count_cliques_peeling(g)[0] == _matching_stats(n, e), (n, e)
+    for n in range(30, 41):
+        g = _partial_matching_complement(n, n // 2, rng)
+        assert count_cliques_oracle(g) == _matching_stats(n, n // 2), n
 
 
 def test_oracle_known_values():
