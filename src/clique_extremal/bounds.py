@@ -50,7 +50,8 @@ CASE_TRIVIAL = "trivial-small-c"
 CASE_REFINED = "refined-product"
 
 _LN2 = math.log(2.0)
-# Upper end of the c range that both branch suprema scan.
+# Upper end of the c range that both branch suprema scan; only the sparse
+# branch has a tail bound beyond it (see ``case1_supremum``).
 _C_MAX = 1000.0
 
 
@@ -259,9 +260,8 @@ def g_recursion_check(m: int, x: int, t: int, d: int) -> RecursionCheck:
     lo = max(1, -(-2 * x // t))
     recursion_holds = False
     for delta1 in range(lo, min(d, m - t) + 1):
-        inner = value(m - delta1, x, t, delta1)
-        if inner is None:
-            continue
+        # cannot raise: m - Delta_1 >= t, lo <= Delta_1 <= d <= _MAX_D, and delta falls with m
+        inner = g_bound(m - delta1, x, t, delta1).log2_bound
         if base <= math.log2(delta1 + 1.0) + inner + _RECURSION_TOL:
             recursion_holds = True
             break
@@ -304,13 +304,21 @@ def _grid_zoom_max(
 
 def case1_supremum() -> BoundResult:
     """sup over c > 1 of the sparse-branch exponent at its best admissible
-    integer d; stays below 1.64. Computed once per process."""
+    integer d; stays below 1.64. Computed once per process.
+
+    The grid covers (1 + 1e-6, _C_MAX]. The sparse branch is the starting
+    value of ``_refined_best_at``, so ``_refined_tail_bound`` bounds it too;
+    it decreases for c >= 2, and ``_refined_tail_bound(_C_MAX)`` = 1.0845...
+    must stay below the grid maximum: no c >= _C_MAX can then score higher.
+    """
     return _case1_supremum()
 
 
 @cache
 def _case1_supremum() -> BoundResult:
     c0, v0 = _grid_zoom_max(lambda c, floor: _case1_best_at(c)[0], 1.0 + 1e-6, _C_MAX)
+    if _refined_tail_bound(_C_MAX) >= v0:
+        raise AssertionError(f"the tail bound for c >= {_C_MAX} reached the sparse-branch maximum {v0}")
     return BoundResult(v0, v0, CASE_ABOVE, c0, _case1_best_at(c0)[1])
 
 

@@ -302,7 +302,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
-    report = run_suite(seed=args.seed, quick=args.quick, threads=args.threads)
+    report = run_suite(seed=args.seed, quick=args.quick)
     if args.json:
         print(report_to_json(report), end="")
     elif args.csv:
@@ -390,9 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     paper = subs.add_parser("verify-paper", help="run the full verification suite")
     paper.add_argument("--seed", type=int, default=0)
     paper.add_argument("--quick", action="store_true")
-    paper.add_argument(
-        "--threads", type=int, default=1, help="worker processes, at most one per check and per processor"
-    )
     output = paper.add_mutually_exclusive_group()
     output.add_argument("--json", action="store_true")
     output.add_argument("--csv", action="store_true")

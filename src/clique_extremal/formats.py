@@ -14,7 +14,7 @@ row, so a vertex with d edges costs d copies of a row of up to n bits.
 
 from __future__ import annotations
 
-from binascii import b2a_base64
+from binascii import a2b_base64, b2a_base64
 from itertools import compress
 from operator import eq
 
@@ -32,12 +32,10 @@ __all__ = [
 ]
 
 _GRAPH6_HEADER = ">>graph6<<"
-# graph6 character -> its six bits, most significant first
-_SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
-# base64 digit -> the graph6 character of the same six bits
-_BASE64_TO_GRAPH6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+# the six-bit digits 0..63 in base64 and in graph6 (chr(63)..chr(126))
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 # binary digit characters -> 0/1 selector bytes for itertools.compress
 _PICKS = bytes.maketrans(b"01", b"\x00\x01")
 # edge lines parsed per chunk, which bounds the token lists of one pass
@@ -178,7 +176,10 @@ def read_graph6(text: str) -> Graph:
     if body and (min(body) < "?" or max(body) > "~"):
         bad = next(c for c in body if not "?" <= c <= "~")
         raise FormatError(f"invalid graph6 character {bad!r}")
-    bits = body.translate(_SIX_BITS)
+    # renamed to base64 digits and padded to whole quanta, then decoded at once
+    digits = body.encode("ascii").translate(_GRAPH6_TO_BASE64)
+    digits += b"A" * (-len(digits) % 4)
+    bits = format(int.from_bytes(a2b_base64(digits), "big"), f"0{6 * len(digits)}b")
     below = [bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n)]
     above = ["".join(column) for column in zip(*below)]
     return Graph(n, (int(lo[::-1], 2) | int(hi[::-1], 2) for lo, hi in zip(below, above)))

@@ -5,7 +5,7 @@ scale: the two clique counters agree, the generator count formulas hold
 exactly, the embedders always emit certificates their verifiers accept, the
 parameter sandwich and missing-degree inequalities hold on random suites,
 and the bound engine reproduces its constants. The CLI's ``verify-paper``
-subcommand runs everything and reports a table.
+subcommand runs every check in order, in one process, and reports a table.
 
 All randomness is derived from string-seeded generators, so reports are
 byte-identical across runs and platforms for a fixed seed.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import time
 from collections.abc import Iterator
@@ -38,7 +37,7 @@ from .graph import Graph
 from .params import delta_threshold_no_subdivision, min_tset_missing, t_param
 
 __all__ = [
-    "CheckResult", "SuiteReport", "run_suite", "worker_count", "report_to_json", "report_to_csv", "CHECKS",
+    "CheckResult", "SuiteReport", "run_suite", "report_to_json", "report_to_csv", "CHECKS",
 ]
 
 _DENSITIES = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -347,37 +346,17 @@ CHECKS = (
 )
 
 
-def _run_one(args: tuple[int, int, bool]) -> CheckResult:
+def _run_one(check, seed: int, quick: bool) -> CheckResult:
     """Run and time one check; each check returns (name, passed, summary, data)."""
-    index, seed, quick = args
     start = time.perf_counter()
-    outcome = CHECKS[index](seed, quick)
+    outcome = check(seed, quick)
     return CheckResult(*outcome, time.perf_counter() - start)
 
 
-def worker_count(threads: int) -> int:
-    """Workers for ``threads`` requested: at least one is required, and
-    more than one per check or per processor would only sit idle."""
-    if threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {threads}")
-    return min(threads, len(CHECKS), os.cpu_count() or 1)
-
-
-def run_suite(seed: int = 0, quick: bool = False, threads: int = 1) -> SuiteReport:
-    """Run every check; with more than one worker (see ``worker_count``) the
-    independent checks run in a process pool, reassembled in fixed order so
-    output is unchanged."""
-    jobs = [(i, seed, quick) for i in range(len(CHECKS))]
-    threads = worker_count(threads)
-    if threads > 1:
-        # imported here: only a pool needs it, and it costs every CLI command ~1 MB
-        from multiprocessing import Pool
-
-        with Pool(processes=threads) as pool:
-            results = pool.map(_run_one, jobs)
-    else:
-        results = [_run_one(job) for job in jobs]
-    return SuiteReport(seed=seed, quick=quick, results=tuple(results))
+def run_suite(seed: int = 0, quick: bool = False) -> SuiteReport:
+    """Run every check in ``CHECKS`` order in this process."""
+    results = tuple(_run_one(check, seed, quick) for check in CHECKS)
+    return SuiteReport(seed=seed, quick=quick, results=results)
 
 
 def report_to_json(report: SuiteReport) -> str:

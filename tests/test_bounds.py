@@ -415,6 +415,41 @@ def test_g_recursion_check_evaluates_each_point_once(monkeypatch, params):
     assert len(calls) == len(set(calls)) == 7
 
 
+def _recursion_base_points(rng):
+    """Seeded (kind, (m, x, t, d)): moderate points, points whose Delta_1
+    range ends at or near _MAX_D, and points whose ceil(delta) is at or
+    next to _MAX_DELTA (some of them invalid base points)."""
+    for _ in range(60):
+        t = rng.randint(1, 60)
+        yield "moderate", (t + rng.randint(0, 400), rng.randint(1, 400), t, rng.randint(1, 80))
+    for _ in range(8):
+        # lo = ceil(2x/t) within 20 of _MAX_D; t >= 2100 keeps delta = 2xm/t^2 below _MAX_DELTA
+        t = rng.randint(2100, 2500)
+        lo = bounds._MAX_D - rng.randint(0, 20)
+        yield "max-d", (lo + t + rng.randint(0, 30), lo * t // 2, t, bounds._MAX_D - rng.randint(0, 5))
+    for _ in range(8):
+        # at t = 10 and x = 50, delta = m
+        yield "max-delta", (bounds._MAX_DELTA + rng.randint(-3, 1), 50, 10, rng.randint(10, 40))
+
+
+def test_g_recursion_check_inner_points_evaluate(monkeypatch):
+    # once the base point evaluates, g_bound evaluates at every (m - Delta_1, Delta_1)
+    # the peel-step loop visits; a fresh table, so its growth ends with the test
+    monkeypatch.setattr(bounds, "_log_ratio_prefix", bounds._log_ratio_prefix[:2])
+    valid = {"moderate": 0, "max-d": 0, "max-delta": 0}
+    for kind, (m, x, t, d) in _recursion_base_points(random.Random("recursion-inner")):
+        try:
+            g_bound(m, x, t, d)
+        except ValueError:
+            continue
+        valid[kind] += 1
+        lo = max(1, -(-2 * x // t))
+        for delta1 in range(lo, min(d, m - t) + 1):
+            g_bound(m - delta1, x, t, delta1)
+        g_recursion_check(m, x, t, d)
+    assert min(valid.values()) >= 3, valid
+
+
 def test_g_bound_rejects_delta_beyond_scale_before_growing_the_table():
     size = len(bounds._log_ratio_prefix)
     # delta = 2 * 50 * 6_000_000 / 10^2 = 6_000_000 > 5_000_000
@@ -630,6 +665,13 @@ def test_optimize_constant_rejects_a_tail_bound_that_reaches_the_maximum(monkeyp
     monkeypatch.setattr(bounds, "_refined_tail_bound", lambda c: 2.0)
     with pytest.raises(AssertionError, match="tail bound"):
         optimize_constant("refined")
+
+
+def test_case1_supremum_rejects_a_tail_bound_that_reaches_the_maximum(monkeypatch):
+    # the uncached scan, so the process-wide supremum stays as it is
+    monkeypatch.setattr(bounds, "_refined_tail_bound", lambda c: 2.0)
+    with pytest.raises(AssertionError, match="tail bound"):
+        bounds._case1_supremum.__wrapped__()
 
 
 def test_optimize_constant_validates_mode():

@@ -10,7 +10,6 @@ import pytest
 from clique_extremal import Graph, cli, matching_complement, read_graph6, save_graph, star_of_clique, write_edge_list
 from clique_extremal.cli import main
 from clique_extremal.limits import MAX_CONSTRUCT_N
-from clique_extremal.suite import CHECKS, worker_count
 
 
 def run(capsys, *argv):
@@ -459,13 +458,13 @@ def test_verify_paper_full_json_matches_capture(capsys):
     assert out == expected
 
 
-def test_verify_paper_with_two_workers_matches_capture(capsys, monkeypatch):
-    # two processors, so the pool runs even on a one-core host
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    expected = (Path(__file__).parent / "data" / "verify_paper_seed0_quick.json").read_text()
-    code, out, _ = run(capsys, "verify-paper", "--seed", "0", "--quick", "--json", "--threads", "2")
-    assert code == 0
-    assert out == expected
+def test_verify_paper_threads_is_usage_error(capsys):
+    # the suite runs in one process, and --threads is rejected, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--quick", "--threads", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--threads" in captured.err
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
@@ -477,24 +476,3 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
-
-
-def test_worker_count_bounds(monkeypatch):
-    with pytest.raises(ValueError):
-        worker_count(0)
-    with pytest.raises(ValueError):
-        worker_count(-3)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert worker_count(1) == 1
-    assert worker_count(5) == 5
-    assert worker_count(10**9) == len(CHECKS)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert worker_count(10**9) == 2
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert worker_count(8) == 1
-
-
-def test_threads_below_one_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify-paper", "--quick", "--threads", "0")
-    assert code == 2
-    assert "--threads" in err
