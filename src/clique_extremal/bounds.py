@@ -50,8 +50,8 @@ CASE_TRIVIAL = "trivial-small-c"
 CASE_REFINED = "refined-product"
 
 _LN2 = math.log(2.0)
-# Upper end of the c range that both branch suprema scan; only the sparse
-# branch has a tail bound beyond it (see ``case1_supremum``).
+# Upper end of the c range that both branch suprema scan; each branch has a
+# tail bound beyond it (see ``case1_supremum`` and ``case2_supremum``).
 _C_MAX = 1000.0
 
 
@@ -324,14 +324,39 @@ def _case1_supremum() -> BoundResult:
 
 def case2_supremum() -> BoundResult:
     """sup over c >= 3 of the dense-branch closed form; stays below 2.92.
-    Computed once per process."""
+    Computed once per process.
+
+    The grid covers [3, _C_MAX]. ``_case2_tail_bound`` bounds the branch and
+    decreases for c >= 6, and ``_case2_tail_bound(_C_MAX)`` = 1.1201... must
+    stay below the grid maximum: no c >= _C_MAX can then score higher.
+    """
     return _case2_supremum()
 
 
 @cache
 def _case2_supremum() -> BoundResult:
     c0, v0 = _grid_zoom_max(lambda c, floor: case2_exponent(c), 3.0, _C_MAX)
+    if _case2_tail_bound(_C_MAX) >= v0:
+        raise AssertionError(f"the tail bound for c >= {_C_MAX} reached the dense-branch maximum {v0}")
     return BoundResult(v0, v0, CASE_BELOW, c0, None)
+
+
+def _case2_tail_bound(c: float) -> float:
+    """1 + L^2 / (4(c - 1)) + L / (2c) with L = 1 + 2 log2(c): an upper
+    bound on ``case2_exponent(c)`` for c >= 3 that decreases for c >= 6.
+
+    Proof. L = log2(2c^2). The high logarithm is at most L, as
+    2c(c - 1) - 1.95 <= 2c^2; the low one is positive, as 2(c - 1) - 1.95 > 1
+    for c >= 3, so the difference of squares is at most L^2. The last
+    logarithm is at most L, as 2c(c - 1) + 1 <= 2c^2 for c >= 1/2. With
+    L' = 2/(c ln 2), the derivative of L^2 / (4(c - 1)) has the sign of
+    4(c - 1)/(c ln 2) - L, which is below 4/ln 2 - L <= 0 once
+    L >= 4/ln 2 = 5.771, i.e. c >= 5.23; that of L / (2c) has the sign of
+    2/ln 2 - L, negative once c >= 1.93. Both terms thus decrease for c >= 6
+    (numerically the sum decreases from c = 3).
+    """
+    big_l = 1.0 + 2.0 * math.log2(c)
+    return 1.0 + big_l * big_l / (4.0 * (c - 1.0)) + big_l / (2.0 * c)
 
 
 _per_d = [(0.0, 0.0)]  # [D] = (log2(D + 1), 1 - log2(1 + 2^(-1/D))), the second positive

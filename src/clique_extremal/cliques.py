@@ -133,54 +133,90 @@ def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
 def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
     """Peeling enumeration: repeatedly pick a minimum degree vertex (lowest
     index on ties), count the cliques containing it inside its
-    neighbourhood, then delete it. The trace records the outer loop; it runs
-    to exhaustion, so its stop reason is always clique-exhausted.
+    neighbourhood, then delete it. The trace records the top-level picks; it
+    runs to exhaustion, so its sizes run from n down to 0 and its stop
+    reason is always clique-exhausted.
 
-    One loop runs on an explicit stack of non-empty (residual, depth)
-    entries. A pick counts the clique it closes, then pushes the rest of its
-    level and above it the child N(v) & residual, one level deeper, so the
-    stack holds one entry per level. At depth 0 the trace records each pick,
-    which removes one vertex, so the sizes run from n down to 0; deeper, a
-    residual that is a clique adds all its non-empty subsets. Below depth 0
-    the picks do not change the count, so a residual of one or two
-    vertices closes without a pick: a vertex or an edge is a clique, and
-    two non-adjacent vertices add two cliques of one vertex."""
+    The top level takes its picks from a degree-bucket queue (the
+    smallest-last order of Matula and Beck): ``buckets[d]`` is the bitmask
+    of residual vertices of degree d, and a pick is the lowest vertex of the
+    lowest non-empty bucket. Deleting v moves each residual neighbour down
+    one bucket, so the next minimum is at least d(v) - 1 and the scan
+    pointer steps back by at most one. The top level thus costs O(n + m) bit
+    moves, and its scratch memory is one n-bit mask per distinct residual
+    degree plus a list of n degrees.
+
+    Each pick then counts its subtree on an explicit stack of non-empty
+    (residual, depth) entries, starting from N(v) & residual at depth 1,
+    before the next pick. An entry picks a minimum degree vertex by a scan,
+    counts the clique it closes, then pushes the rest of its level and above
+    it the child N(v) & residual, one level deeper, so the stack holds one
+    entry per level. A residual that is a clique adds all its non-empty
+    subsets. The picks below the top level do not change the count, so a
+    residual of one or two vertices closes without a pick: a vertex or an
+    edge is a clique, and two non-adjacent vertices add two cliques of one
+    vertex."""
     adj = g.rows
+    degree = [row.bit_count() for row in adj]
+    buckets = [0] * g.n
+    for v, d in enumerate(degree):
+        buckets[d] |= 1 << v
     picked: list[int] = []
     missing_degrees: list[int] = []
-    total = 1
-    omega = 0
-    stack = [(g.full_mask, 0)] if g.n else []
-    while stack:
-        residual, depth = stack.pop()
-        size = residual.bit_count()
-        if depth and size < 3:  # a vertex, an edge, or two singletons
-            low = residual & -residual
-            if size == 1 or adj[low.bit_length() - 1] & residual:
+    total = 1 + g.n  # each top-level pick closes its one-vertex clique
+    omega = 1 if g.n else 0
+    alive = g.full_mask
+    min_d = 0
+    for order in range(g.n, 0, -1):
+        while not buckets[min_d]:
+            min_d += 1
+        bucket = buckets[min_d]
+        low = bucket & -bucket
+        buckets[min_d] = bucket ^ low
+        v = low.bit_length() - 1
+        alive ^= low
+        picked.append(v)
+        missing_degrees.append(order - 1 - min_d)
+        if not min_d:
+            continue
+        child = adj[v] & alive
+        rest = child
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            d = degree[w]
+            degree[w] = d - 1
+            buckets[d] ^= low
+            buckets[d - 1] |= low
+        min_d -= 1
+        stack = [(child, 1)]
+        while stack:
+            residual, depth = stack.pop()
+            size = residual.bit_count()
+            if size < 3:  # a vertex, an edge, or two singletons
+                low = residual & -residual
+                if size == 1 or adj[low.bit_length() - 1] & residual:
+                    total += (1 << size) - 1
+                    depth += size
+                else:
+                    total += 2
+                    depth += 1
+                if depth > omega:
+                    omega = depth
+                continue
+            u, d = _min_degree_vertex(adj, residual)
+            if d == size - 1:
                 total += (1 << size) - 1
-                depth += size
-            else:
-                total += 2
-                depth += 1
-            if depth > omega:
-                omega = depth
-            continue
-        v, d = _min_degree_vertex(adj, residual)
-        if not depth:
-            picked.append(v)
-            missing_degrees.append(size - 1 - d)
-        elif d == size - 1:
-            total += (1 << size) - 1
-            if depth + size > omega:
-                omega = depth + size
-            continue
-        total += 1
-        if depth >= omega:
-            omega = depth + 1
-        if size > 1:
-            stack.append((residual & ~(1 << v), depth))
-        if d:
-            stack.append((adj[v] & residual, depth + 1))
+                if depth + size > omega:
+                    omega = depth + size
+                continue
+            total += 1
+            if depth >= omega:
+                omega = depth + 1
+            stack.append((residual & ~(1 << u), depth))
+            if d:
+                stack.append((adj[u] & residual, depth + 1))
     return CliqueStats(total, total - 1, omega), _trace(picked, range(g.n, -1, -1), missing_degrees, STOP_EXHAUSTED)
 
 

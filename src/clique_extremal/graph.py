@@ -169,12 +169,17 @@ class Graph:
         return self.missing_edges_within_mask(vertex_mask(vertices, self.n))
 
     def missing_edges_within_mask(self, mask: int) -> int:
-        full = self.full_mask
-        count = 0
-        for v in iter_bits(mask):
-            non_neighbours = full & ~self.rows[v] & ~(1 << v)
-            count += (non_neighbours & (mask >> (v + 1) << (v + 1))).bit_count()
-        return count
+        """k(k-1)/2 pairs inside a k-vertex mask less its edges, each of
+        which two rows count."""
+        rows = self.rows
+        present = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            present += (rows[low.bit_length() - 1] & mask).bit_count()
+        k = mask.bit_count()
+        return k * (k - 1) // 2 - present // 2
 
     # -- dunder -----------------------------------------------------------
 

@@ -674,6 +674,26 @@ def test_case1_supremum_rejects_a_tail_bound_that_reaches_the_maximum(monkeypatc
         bounds._case1_supremum.__wrapped__()
 
 
+def test_case2_tail_bound_holds():
+    rng = random.Random("case2-tail-holds")
+    samples = [3.0 * (1e9 / 3.0) ** rng.random() for _ in range(5_000)] + [3.0, 3.59, 1000.0, 1e9]
+    assert all(bounds.case2_exponent(c) <= bounds._case2_tail_bound(c) for c in samples)
+
+
+def test_case2_tail_bound_decreases():
+    rng = random.Random("case2-tail-decreases")
+    samples = sorted({3.0 * (1e9 / 3.0) ** rng.random() for _ in range(20_000)} | {3.0, 6.0, 1000.0, 1e9})
+    values = [bounds._case2_tail_bound(c) for c in samples]
+    assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_case2_supremum_rejects_a_tail_bound_that_reaches_the_maximum(monkeypatch):
+    # the uncached scan, so the process-wide supremum stays as it is
+    monkeypatch.setattr(bounds, "_case2_tail_bound", lambda c: 3.0)
+    with pytest.raises(AssertionError, match="tail bound"):
+        bounds._case2_supremum.__wrapped__()
+
+
 def test_optimize_constant_validates_mode():
     with pytest.raises(ValueError):
         optimize_constant("fast")

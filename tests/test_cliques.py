@@ -140,6 +140,23 @@ def test_stack_counters_match_the_recursive_references(n, p, seed):
     assert count_cliques_peeling(g) == reference_peeling(g)
 
 
+def _bucket_queue_inputs():
+    """Inputs beyond the hypothesis range, where the top-level picks move
+    many vertices between degree buckets."""
+    for n in (40, 120, 300):
+        for p in (0.01, 0.04, 0.1):
+            yield f"G({n}, {p})", random_graph(n, p, n * 1000 + round(p * 100))
+    yield "star", Graph.from_edge_list(60, [(0, v) for v in range(1, 60)])
+    yield "path", Graph.from_edge_list(60, [(v, v + 1) for v in range(59)])
+    yield "isolated", Graph.from_edge_list(30, [(3, 7), (7, 12), (3, 12), (12, 20), (25, 29)])
+    yield "star_of_clique", star_of_clique(200, 5)
+
+
+def test_bucket_queue_matches_the_reference_on_large_sparse_graphs():
+    for name, g in _bucket_queue_inputs():
+        assert count_cliques_peeling(g) == reference_peeling(g), name
+
+
 def _path_complement(n: int) -> Graph:
     return Graph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)]).complement()
 

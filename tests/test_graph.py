@@ -2,6 +2,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clique_extremal import Graph, immersion_tightness, matching_complement, random_graph, star_of_clique
 from clique_extremal.graph import reach, simple_paths, vertex_mask
@@ -125,6 +127,16 @@ def test_missing_edges_within():
     for seed in range(10):
         g = random_graph(14, 0.5, seed)
         assert g.missing_edges_within(range(14)) == 14 * 13 // 2 - g.num_edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.integers(0, 2**12 - 1))
+def test_missing_edges_within_mask_counts_pair_by_pair(n, p, seed, bits):
+    g = random_graph(n, p, seed)
+    mask = bits & g.full_mask
+    inside = [v for v in range(n) if mask >> v & 1]
+    pairs = sum(1 for i, u in enumerate(inside) for v in inside[i + 1 :] if not g.has_edge(u, v))
+    assert g.missing_edges_within_mask(mask) == pairs
 
 
 def test_edges_iteration_sorted():
