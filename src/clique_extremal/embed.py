@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import FormatError, PreconditionViolation
-from .graph import Graph, simple_paths, vertex_mask
+from .graph import Graph, induced_paths, simple_paths, vertex_mask
 from .limits import IMMERSION_MAX_N, SIGMA_MAX_N, check_guard
 
 __all__ = [
@@ -247,6 +247,18 @@ def sigma_exhaustive(g: Graph, limit_n: int | None = None) -> int:
     branch pair's path has at least one internal vertex, all of them in the
     free pool, so a branch set with more missing pairs than pool vertices
     cannot be routed and is skipped before any packing.
+
+    Induced routes: each missing pair u-v takes only induced paths
+    (``graph.induced_paths``), and that loses no packing. Take any u-v path
+    P and a shortest u-v path Q inside G[V(P)]. A chord of Q would make a
+    shorter u-v path inside G[V(P)], so Q is induced in G[V(P)] and hence
+    in G, and its internal vertices are some of P's. Replacing every route
+    of a packing by its Q keeps the routes disjoint and off the branch set.
+    A vertex set S joins u to v when G[S + {u, v}] holds a u-v path; the
+    internal sets of induced paths are exactly the minimal such S (the
+    shortest path of a minimal S uses all of it, and the only u-v path in
+    an induced path is the path itself), and an induced path is the one
+    path through its vertex set, so each minimal S is yielded once.
     """
     check_guard("sigma_exhaustive", g.n, SIGMA_MAX_N, limit_n)
     n = g.n
@@ -254,20 +266,28 @@ def sigma_exhaustive(g: Graph, limit_n: int | None = None) -> int:
         return 0
     adj = g.rows
     full = g.full_mask
+    degree = [row.bit_count() for row in adj]
 
     def routes(free: int, pair: tuple[int, int]) -> Iterator[int]:
-        for used, _ in simple_paths(adj, *pair, free):
+        for used, _ in induced_paths(adj, *pair, free):
             yield free & ~used
 
     for h in range(n, 1, -1):
-        candidates = [v for v in range(n) if g.degree(v) >= h - 1]
+        candidates = [v for v in range(n) if degree[v] >= h - 1]
         if len(candidates) < h:
             continue
         for branch in combinations(candidates, h):
-            pool = full & ~vertex_mask(branch, n)
-            missing = [
-                (u, v) for u, v in combinations(branch, 2) if not g.has_edge(u, v)
-            ]
+            bmask = 0
+            for a in branch:
+                bmask |= 1 << a
+            pool = full & ~bmask
+            missing = []
+            for a in branch:
+                rest = (bmask & ~adj[a]) >> (a + 1) << (a + 1)
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    missing.append((a, low.bit_length() - 1))
             if len(missing) > pool.bit_count():
                 continue
             missing.sort(key=lambda p: ((adj[p[0]] & adj[p[1]] & pool).bit_count(), p))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-__all__ = ["Graph", "vertex_mask", "iter_bits", "reach", "simple_paths"]
+__all__ = ["Graph", "vertex_mask", "iter_bits", "reach", "simple_paths", "induced_paths"]
 
 
 def vertex_mask(vertices: Iterable[int], n: int) -> int:
@@ -74,6 +74,43 @@ def simple_paths(adj: Sequence[int], u: int, v: int, allowed: int) -> Iterator[t
                 stack.append(adj[w] & allowed & ~used)
             elif adj[w] >> v & 1:
                 yield used | low, (*route, w, v)
+
+
+def induced_paths(adj: Sequence[int], u: int, v: int, allowed: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(internal mask, route) of every induced u-v path with at least one
+    internal vertex, all of them in ``allowed``, in the order of
+    ``simple_paths``: by number of internal vertices, then by ascending
+    vertices along the route. A path is induced when no two of its vertices
+    are adjacent unless they follow each other on it, so an edge u-v rules
+    out every route and nothing is yielded.
+
+    The routes grow one vertex per level on explicit lists, so a route may
+    be longer than Python's recursion limit, and each level is built in
+    route order, which keeps the order above. An entry carries its route
+    and ``far``, the closed neighbourhoods of every route vertex but the
+    last. The next vertex is a neighbour of the last one outside ``far``,
+    hence off the route and adjacent to no earlier route vertex; a vertex
+    adjacent to v ends its route, which is yielded and not grown.
+    """
+    if adj[u] >> v & 1:
+        return
+    allowed &= ~(1 << u | 1 << v)
+    level = [((u,), 0, 0)]  # (route, far, internal mask)
+    while level:
+        grown = []
+        for route, far, used in level:
+            last = route[-1]
+            cands = adj[last] & allowed & ~far
+            far |= adj[last] | 1 << last
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                w = low.bit_length() - 1
+                if adj[w] >> v & 1:
+                    yield used | low, (*route, w, v)
+                else:
+                    grown.append(((*route, w), far, used | low))
+        level = grown
 
 
 class Graph:

@@ -1,11 +1,13 @@
 import inspect
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clique_extremal import suite
 from clique_extremal import (
     Graph,
     GuardExceeded,
@@ -224,6 +226,22 @@ def test_counters_on_partial_matching_complements_up_to_n_40():
     for n in range(30, 41):
         g = _partial_matching_complement(n, n // 2, rng)
         assert count_cliques_oracle(g) == _matching_stats(n, n // 2), n
+
+
+@pytest.mark.parametrize("quick", [True, False])
+def test_matching_complement_check_counts_with_the_peeling_counter(monkeypatch, quick):
+    # the oracle closes MC(n) by the formula itself, so only the peeling
+    # counter's search can disagree with 3^(n/2); it runs for n <= 16
+    real = suite.count_cliques_peeling
+
+    def off_by_one(g):
+        stats, trace = real(g)
+        return replace(stats, count_including_empty=stats.count_including_empty + 1), trace
+
+    monkeypatch.setattr(suite, "count_cliques_peeling", off_by_one)
+    name, passed, _, data = suite.check_matching_complement_counts(0, quick)
+    assert name == "matching-complement-count" and not passed
+    assert data["failures"] == [[n, "peeling", 3 ** (n // 2) + 1] for n in range(2, 17, 2)]
 
 
 def test_oracle_known_values():

@@ -582,6 +582,17 @@ def test_sigma_matches_the_reference_beyond_nine_vertices():
                 assert sigma_exhaustive(g) == reference_sigma(g), (n, p, seed)
 
 
+def test_sigma_matches_the_reference_at_the_guard():
+    # 24 seeded G(n, p) with n = 13 and n = SIGMA_MAX_N = 14; the reference
+    # packs every simple path, sigma_exhaustive only induced ones. Both
+    # searches together take about 0.4 s on a 2-core host
+    for n in (13, SIGMA_MAX_N):
+        for p in (0.4, 0.5, 0.6, 0.7):
+            for seed in range(3):
+                g = random_graph(n, p, seed)
+                assert sigma_exhaustive(g) == reference_sigma(g), (n, p, seed)
+
+
 _SCAN = """
 import random, time
 from clique_extremal import has_immersion_with_ends, random_graph

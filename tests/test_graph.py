@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clique_extremal import Graph, immersion_tightness, matching_complement, random_graph, star_of_clique
-from clique_extremal.graph import reach, simple_paths, vertex_mask
+from clique_extremal.graph import induced_paths, reach, simple_paths, vertex_mask
 
 from conftest import complete_graph, cycle_graph
 
@@ -210,4 +211,68 @@ def test_simple_paths_reads_adjacency_lazily():
     adj[2] |= 0b1000
     adj[3] |= 0b0110
     assert list(walk) == [(0b1010, (0, 1, 3, 2))]
+
+
+def _is_induced(g: Graph, path) -> bool:
+    return all(not g.rows[a] & vertex_mask(path[i + 2:], g.n) for i, a in enumerate(path))
+
+
+def test_induced_paths_match_networkx_in_order():
+    for k in range(300):
+        rng = random.Random(f"induced-paths:{k}")
+        n = rng.randint(2, 9)
+        g = random_graph(n, rng.uniform(0.15, 0.75), rng.randrange(2 ** 32))
+        h = _nx_graph(g)
+        for u, v in combinations(range(n), 2):
+            if g.has_edge(u, v):
+                continue
+            found = [p for p in nx.all_simple_paths(h, u, v) if _is_induced(g, p)]
+            # both directions, each route listed from its own start
+            for a, b, paths in ((u, v, found), (v, u, [p[::-1] for p in found])):
+                expected = [(vertex_mask(p[1:-1], n), tuple(p)) for p in sorted(paths, key=lambda p: (len(p), p))]
+                assert list(induced_paths(g.rows, a, b, g.full_mask)) == expected, (k, a, b)
+
+
+def test_induced_paths_keep_to_allowed_in_order():
+    for k in range(80):
+        rng = random.Random(f"induced-paths-allowed:{k}")
+        n = rng.randint(2, 9)
+        g = random_graph(n, rng.uniform(0.2, 0.9), rng.randrange(2 ** 32))
+        u, v = rng.sample(range(n), 2)
+        allowed = [w for w in range(n) if rng.random() < 0.8]
+        h = _nx_graph(g)
+        sub = h.subgraph(set(allowed) | {u, v})
+        routes = sorted(
+            (len(p), tuple(p))
+            for p in nx.all_simple_paths(sub, u, v)
+            if len(p) > 2 and _is_induced(g, p)
+        )
+        expected = [(vertex_mask(route[1:-1], n), route) for _, route in routes]
+        assert list(induced_paths(g.rows, u, v, vertex_mask(allowed, n))) == expected, k
+
+
+def test_induced_paths_ignore_ends_in_allowed_and_stop_at_a_direct_edge():
+    # the 4-cycle 0-1-2-3 has two induced 0-2 paths; K_4's edge 0-3 is a
+    # chord of every longer 0-3 route
+    c4 = cycle_graph(4)
+    assert list(induced_paths(c4.rows, 0, 2, c4.full_mask)) == [(0b0010, (0, 1, 2)), (0b1000, (0, 3, 2))]
+    k4 = complete_graph(4)
+    assert list(induced_paths(k4.rows, 0, 3, k4.full_mask)) == []
+
+
+def test_induced_paths_end_at_the_first_neighbour_of_the_far_end():
+    # 0-1-2-3 with the extra edge 1-3: the route stops at 1, so the
+    # longer 0-1-2-3 (chord 1-3) is never yielded
+    g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    assert list(induced_paths(g.rows, 0, 3, g.full_mask)) == [(0b0010, (0, 1, 3))]
+
+
+def test_induced_paths_on_a_long_path():
+    # the only route has 2,998 internal vertices; a recursive walk would
+    # exceed the interpreter's recursion limit
+    n = 3000
+    g = Graph.from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
+    assert list(induced_paths(g.rows, 0, n - 1, g.full_mask)) == [
+        (g.full_mask & ~(1 | 1 << (n - 1)), tuple(range(n)))
+    ]
 
