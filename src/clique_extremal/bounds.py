@@ -277,15 +277,21 @@ def _grid_zoom_max(
     f: Callable[[float, float], float],
     lo: float,
     hi: float,
+    tail: Callable[[float], float],
     steps: int = 400,
     rounds: int = 10,
 ) -> tuple[float, float]:
-    """Deterministic grid refinement maximizer, robust to the ceiling jumps
-    of the objective. Returns (argmax, max).
+    """Deterministic grid refinement maximizer over [lo, hi], robust to the
+    ceiling jumps of the objective. Returns (argmax, max).
 
     ``f(c, floor)`` gets the running best as ``floor``. The grid only acts
     on a value above it, so ``f`` must be exact where its value exceeds
-    ``floor`` and may return anything at most ``floor`` elsewhere."""
+    ``floor`` and may return anything at most ``floor`` elsewhere.
+
+    ``tail`` bounds ``f`` from above and decreases on [hi, inf). Its value
+    at the ``hi`` given must stay below the grid maximum: no c >= hi can
+    then score higher. Otherwise the maximizer raises AssertionError."""
+    top = hi
     best_c, best_v = lo, f(lo, -math.inf)
     for _ in range(rounds):
         span = hi - lo
@@ -299,6 +305,8 @@ def _grid_zoom_max(
         hi = min(hi, best_c + width)
         if hi - lo < 1e-10:
             break
+    if tail(top) >= best_v:
+        raise AssertionError(f"the tail bound for c >= {top} reached the grid maximum {best_v}")
     return best_c, best_v
 
 
@@ -307,18 +315,15 @@ def case1_supremum() -> BoundResult:
     integer d; stays below 1.64. Computed once per process.
 
     The grid covers (1 + 1e-6, _C_MAX]. The sparse branch is the starting
-    value of ``_refined_best_at``, so ``_refined_tail_bound`` bounds it too;
-    it decreases for c >= 2, and ``_refined_tail_bound(_C_MAX)`` = 1.0845...
-    must stay below the grid maximum: no c >= _C_MAX can then score higher.
+    value of ``_refined_best_at``, so its tail is ``_refined_tail_bound``,
+    1.0845... at _C_MAX.
     """
     return _case1_supremum()
 
 
 @cache
 def _case1_supremum() -> BoundResult:
-    c0, v0 = _grid_zoom_max(lambda c, floor: _case1_best_at(c)[0], 1.0 + 1e-6, _C_MAX)
-    if _refined_tail_bound(_C_MAX) >= v0:
-        raise AssertionError(f"the tail bound for c >= {_C_MAX} reached the sparse-branch maximum {v0}")
+    c0, v0 = _grid_zoom_max(lambda c, floor: _case1_best_at(c)[0], 1.0 + 1e-6, _C_MAX, _refined_tail_bound)
     return BoundResult(v0, v0, CASE_ABOVE, c0, _case1_best_at(c0)[1])
 
 
@@ -326,18 +331,15 @@ def case2_supremum() -> BoundResult:
     """sup over c >= 3 of the dense-branch closed form; stays below 2.92.
     Computed once per process.
 
-    The grid covers [3, _C_MAX]. ``_case2_tail_bound`` bounds the branch and
-    decreases for c >= 6, and ``_case2_tail_bound(_C_MAX)`` = 1.1201... must
-    stay below the grid maximum: no c >= _C_MAX can then score higher.
+    The grid covers [3, _C_MAX]; the tail is ``_case2_tail_bound``, 1.1201...
+    at _C_MAX.
     """
     return _case2_supremum()
 
 
 @cache
 def _case2_supremum() -> BoundResult:
-    c0, v0 = _grid_zoom_max(lambda c, floor: case2_exponent(c), 3.0, _C_MAX)
-    if _case2_tail_bound(_C_MAX) >= v0:
-        raise AssertionError(f"the tail bound for c >= {_C_MAX} reached the dense-branch maximum {v0}")
+    c0, v0 = _grid_zoom_max(lambda c, floor: case2_exponent(c), 3.0, _C_MAX, _case2_tail_bound)
     return BoundResult(v0, v0, CASE_BELOW, c0, None)
 
 
@@ -373,12 +375,10 @@ def _refined_best_at(c: float, floor: float = -math.inf) -> tuple[float, int | N
     At an integer delta the product for D = delta is empty: that D has no
     term1 and no term2.
 
-    Exact above ``floor``: where the value exceeds ``floor`` it, its D and
-    its tag are returned as if every D were evaluated; elsewhere the result
-    is some value at most ``floor``. The D loop stops once no later D can
-    beat bar = max(best so far, floor). Updates need v > best, so a stop at
-    the best changes nothing, and a stop at a larger ``floor`` leaves a best
-    that is at most ``floor``.
+    Meets the floor contract of ``_grid_zoom_max``, for D and tag too. The
+    D loop stops once no later D can beat bar = max(best so far, floor).
+    Updates need v > best, so a stop at the best changes nothing, and a
+    stop at a larger ``floor`` leaves a best that is at most ``floor``.
 
     Tail cut. Let m = min(hi, ceil(delta) - 1). Every D' in [D, m] scores at
     most term1 + inv2x * (s(D) + log2(D+1)) - log2(m+1)/m + 1, with 1e-9 for
@@ -426,7 +426,8 @@ def _refined_best_at(c: float, floor: float = -math.inf) -> tuple[float, int | N
 
 def _refined_tail_bound(c: float) -> float:
     """1 + u(8 + 3u) / (4 ln 2 (c - 1)) with u = ln(2c): an upper bound on
-    ``_refined_best_at(c)[0]``, valid and decreasing for c >= 2.
+    ``_refined_best_at(c)[0]``, the per-t limit with the remainders dropped,
+    valid and decreasing for c >= 2.
 
     Proof. Let inv2x = 1/(2(c - 1)); delta = 2c(c - 1) <= 2c^2 gives
     log2(delta + 1) <= 2 log2(2c). For each D, term4 <= 1; term1 <= inv2x,
@@ -436,8 +437,6 @@ def _refined_tail_bound(c: float) -> float:
     to 2c^2, which is 3u^2/(2 ln 2). The sparse branch is at most
     1 + log2(delta + 1)/(2c) <= 1 + u/(c ln 2). The derivative has the sign
     of (6u + 8)(c - 1)/c - (3u^2 + 8u), negative once u > 4/3, i.e. c > 1.9.
-    Like the objective, this bounds the per-t limit that the code
-    implements; it does not check the dropped per-t remainders.
     """
     u = math.log(2.0 * c)
     return 1.0 + u * (8.0 + 3.0 * u) / (4.0 * _LN2 * (c - 1.0))
@@ -454,8 +453,7 @@ def optimize_constant(mode: str = "coarse") -> BoundResult:
     refined: maximizes the exact product bound over real c > 1 and integer
     D, excluding the trivial branch; reports the achieved constant and its
     maximizer (c, D). A deterministic grid-zoom search (``_grid_zoom_max``)
-    covers (1 + 1e-6, 60], and ``_refined_tail_bound(60)`` = 1.654... must
-    stay below its maximum: no c >= 60 can then score higher.
+    covers (1 + 1e-6, 60]; the tail is ``_refined_tail_bound``, 1.654... at 60.
     """
     if mode == "coarse":
         sup1 = case1_supremum()
@@ -466,10 +464,8 @@ def optimize_constant(mode: str = "coarse") -> BoundResult:
         return BoundResult(3.0, 3.0, CASE_TRIVIAL, 3.0, None)
     if mode != "refined":
         raise ValueError(f"mode must be 'coarse' or 'refined', got {mode!r}")
-    c_best, v_best = _grid_zoom_max(
-        lambda c, floor: _refined_best_at(c, floor)[0], 1.0 + 1e-6, 60.0, steps=600, rounds=12
+    c_best, _ = _grid_zoom_max(
+        lambda c, floor: _refined_best_at(c, floor)[0], 1.0 + 1e-6, 60.0, _refined_tail_bound, steps=600, rounds=12
     )
-    if _refined_tail_bound(60.0) >= v_best:
-        raise AssertionError(f"the tail bound for c >= 60 reached the grid maximum {v_best}")
     value, d_value, tag = _refined_best_at(c_best)
     return BoundResult(value, value, tag, c_best, d_value)

@@ -65,10 +65,8 @@ def immerse_dense(g: Graph, terminals: Iterable[int]) -> Certificate:
     using only paths of length one or two.
 
     Requires every terminal to have missing degree strictly below
-    (n - t + 2) / 2. Missing terminal pairs are processed in lexicographic
-    order over an edge-availability overlay; each gets the lowest-indexed
-    outside vertex whose two connecting edges are still free. The counting
-    behind the precondition guarantees such a vertex exists.
+    (n - t + 2) / 2; the counting behind it guarantees that ``_route_dense``
+    finds a free outside vertex for every missing pair.
     """
     t_set = sorted(set(terminals))
     t_mask = vertex_mask(t_set, g.n)
@@ -88,9 +86,7 @@ def subdivide_dense(g: Graph, terminals: Iterable[int]) -> Certificate:
 
     With D the maximum missing degree of g (so the minimum degree is
     n - D - 1 by definition), requires at most n - t - 2D missing edges
-    inside the terminal set. Missing pairs are processed in lexicographic
-    order, each greedily taking the lowest-indexed unused common neighbour
-    outside the terminals.
+    inside the terminal set. ``_route_dense`` joins the pairs.
     """
     t_set = sorted(set(terminals))
     t_mask = vertex_mask(t_set, g.n)
@@ -390,4 +386,6 @@ def certificate_loads(text: str) -> Certificate:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"certificate is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise FormatError("certificate nests JSON arrays or objects too deeply") from exc
     return certificate_from_dict(data)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["CliqueExtremalError", "GuardExceeded", "PreconditionViolation", "FormatError"]
+
 
 class CliqueExtremalError(Exception):
     """Base class for library errors."""

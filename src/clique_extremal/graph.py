@@ -79,10 +79,9 @@ def simple_paths(adj: Sequence[int], u: int, v: int, allowed: int) -> Iterator[t
 def induced_paths(adj: Sequence[int], u: int, v: int, allowed: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(internal mask, route) of every induced u-v path with at least one
     internal vertex, all of them in ``allowed``, in the order of
-    ``simple_paths``: by number of internal vertices, then by ascending
-    vertices along the route. A path is induced when no two of its vertices
-    are adjacent unless they follow each other on it, so an edge u-v rules
-    out every route and nothing is yielded.
+    ``simple_paths``. A path is induced when no two of its vertices are
+    adjacent unless they follow each other on it, so an edge u-v rules out
+    every route and nothing is yielded.
 
     The routes grow one vertex per level on explicit lists, so a route may
     be longer than Python's recursion limit, and each level is built in
@@ -185,19 +184,6 @@ class Graph:
     def complement(self) -> "Graph":
         full = self.full_mask
         return Graph(self.n, (full & ~row & ~(1 << v) for v, row in enumerate(self.rows)))
-
-    def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Relabelled induced subgraph plus the map new index -> old vertex."""
-        keep = sorted(set(vertices))
-        vertex_mask(keep, self.n)
-        index = {old: new for new, old in enumerate(keep)}
-        rows = [0] * len(keep)
-        for old in keep:
-            new = index[old]
-            for w in iter_bits(self.rows[old]):
-                if w in index:
-                    rows[new] |= 1 << index[w]
-        return Graph(len(keep), rows), tuple(keep)
 
     # -- subset queries ---------------------------------------------------
 

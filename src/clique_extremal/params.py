@@ -45,7 +45,11 @@ class _SearchTables:
     and level i leaves R = ``order[i:]`` undecided. A counter per position
     is one ``width``-bit field of a single int, the field of position j at
     bit ``width * j`` in absolute packs and ``width * (j - i)`` in those of
-    level i. Level tables are built the first time a search reaches them.
+    level i. ``width`` is the smallest of 8, 16, 32 and 64 whose field holds
+    a key (at most 3(n - 1)) and a biased field 2^(width - 1) + d_R(u) -
+    (r - s) with an exact top bit, which needs n <= 2^(width - 1) as d_R(u)
+    and r - s are below n. Level tables are built the first time a search
+    reaches them.
     """
 
     __slots__ = ("comp", "order", "width", "code", "fields", "levels")
@@ -54,9 +58,6 @@ class _SearchTables:
         n = g.n
         self.comp = g.complement().rows
         self.order = sorted(range(n), key=lambda v: (self.comp[v].bit_count(), v))
-        # a field holds a key (at most 3(n - 1)) and a biased field
-        # 2^(width - 1) + d_R(u) - (r - s), whose top bit is exact while
-        # n <= 2^(width - 1), since d_R(u) and r - s are below n
         for code in "BHIQ":
             self.width = 8 * array(code).itemsize
             if 3 * (n - 1) < 1 << self.width and n <= 1 << (self.width - 1):
@@ -120,13 +121,12 @@ def min_tset_missing(
       e(R - S), so the completion adds at least the sum of the s smallest
       m_u + d_R(u), less e(R).
 
-    The counters m_u are fields of one int, so including a vertex is one
-    add of its spread (its later complement-neighbours, one per field),
-    max(0, s - r + d_R(u)) comes from the top bits of biased fields, and
-    each key list is one sort of the pack's bytes. The field width is the
-    smallest of 8, 16, 32 and 64 bits that holds 3(n - 1) and the bias n.
-    The tables for a graph are kept in a cache of the last 8 graphs seen,
-    so searches for every t of one graph build them once.
+    The counters m_u are fields of one int (``_SearchTables`` sets their
+    width), so including a vertex is one add of its spread (its later
+    complement-neighbours, one per field), max(0, s - r + d_R(u)) comes
+    from the top bits of biased fields, and each key list is one sort of
+    the pack's bytes. The tables for a graph are kept in a cache of the last
+    8 graphs seen, so searches for every t of one graph build them once.
 
     A bound only cuts branches that hold no strictly better subset, so the
     witness is the first optimal subset in search order, whichever bounds

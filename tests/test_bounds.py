@@ -674,6 +674,20 @@ def test_case1_supremum_rejects_a_tail_bound_that_reaches_the_maximum(monkeypatc
         bounds._case1_supremum.__wrapped__()
 
 
+def test_grid_zoom_max_reads_the_tail_at_the_hi_it_was_given():
+    # the peak at c = 3 is on the first grid; the tail is small only from c = 10 on,
+    # so a tail read at the zoomed hi (about 3.1) would reach the peak and raise
+    def objective(c, floor):
+        return -((c - 3.0) ** 2)
+
+    def tail(c):
+        return -1.0 if c >= 10.0 else 1.0
+
+    assert bounds._grid_zoom_max(objective, 0.0, 10.0, tail) == (3.0, 0.0)
+    with pytest.raises(AssertionError, match="tail bound"):
+        bounds._grid_zoom_max(objective, 0.0, 10.0, lambda c: 0.0)
+
+
 def test_case2_tail_bound_holds():
     rng = random.Random("case2-tail-holds")
     samples = [3.0 * (1e9 / 3.0) ** rng.random() for _ in range(5_000)] + [3.0, 3.59, 1000.0, 1e9]

@@ -94,6 +94,21 @@ def test_verify_rejects_a_non_integer_vertex(capsys, tmp_path):
     assert err.startswith("error: malformed certificate: ")
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,
+    '{"kind":"subdivision","terminals":[0,1],"paths":' + "[" * 200_000 + "]" * 200_000 + "}",
+], ids=["top-level", "in-paths"])
+def test_verify_rejects_a_deeply_nested_certificate(capsys, tmp_path, text):
+    graph = tmp_path / "three.el"
+    graph.write_text("3 1\n0 1\n")
+    cert = tmp_path / "deep.json"
+    cert.write_text(text)
+    code, out, err = run(capsys, "verify", "--input", str(graph), "--certificate", str(cert))
+    assert code == 2
+    assert out == ""
+    assert err == "error: certificate nests JSON arrays or objects too deeply\n"
+
+
 def test_verify_reads_its_default_mode_from_the_certificate_kind(capsys, tmp_path):
     # 0-2-1 passes through the terminal 2: a weak immersion that is not a strong one
     graph = tmp_path / "weak.el"

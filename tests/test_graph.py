@@ -93,33 +93,6 @@ def test_max_missing_degree():
         Graph.from_edge_list(0, []).max_missing_degree()
 
 
-def test_induced_subgraph_examples():
-    sub, labels = complete_graph(5).induced_subgraph([0, 1, 2])
-    assert sub == complete_graph(3)
-    assert labels == (0, 1, 2)
-    sub, labels = cycle_graph(5).induced_subgraph([0, 1, 2])
-    assert sub.num_edges == 2
-    assert sub.degree(1) == 2
-    sub, labels = cycle_graph(5).induced_subgraph([])
-    assert sub.n == 0 and labels == ()
-
-
-def test_induced_subgraph_preserves_adjacency():
-    for seed in range(15):
-        g = random_graph(20, 0.4, seed)
-        picked = [v for v in range(20) if (seed * 31 + v) % 3 != 0]
-        sub, labels = g.induced_subgraph(picked)
-        for i in range(sub.n):
-            for j in range(sub.n):
-                if i != j:
-                    assert sub.has_edge(i, j) == g.has_edge(labels[i], labels[j])
-
-
-def test_induced_subgraph_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        complete_graph(3).induced_subgraph([0, 7])
-
-
 def test_missing_edges_within():
     assert complete_graph(6).missing_edges_within(range(6)) == 0
     assert matching_complement(8).missing_edges_within([0, 1, 2, 3]) == 2
