@@ -279,7 +279,6 @@ def _grid_zoom_max(
     hi: float,
     tail: Callable[[float], float],
     steps: int = 400,
-    rounds: int = 10,
 ) -> tuple[float, float]:
     """Deterministic grid refinement maximizer over [lo, hi], robust to the
     ceiling jumps of the objective. Returns (argmax, max).
@@ -293,7 +292,10 @@ def _grid_zoom_max(
     then score higher. Otherwise the maximizer raises AssertionError."""
     top = hi
     best_c, best_v = lo, f(lo, -math.inf)
-    for _ in range(rounds):
+    # Each round cuts the bracket to at most 8/steps of its width, so with
+    # steps >= 400 a bracket up to _C_MAX wide falls under 1e-10 within 8
+    # rounds (8, 8 and 7 for the three callers) and the cap never binds.
+    for _ in range(10):
         span = hi - lo
         for i in range(steps + 1):
             c = lo + span * i / steps
@@ -465,7 +467,7 @@ def optimize_constant(mode: str = "coarse") -> BoundResult:
     if mode != "refined":
         raise ValueError(f"mode must be 'coarse' or 'refined', got {mode!r}")
     c_best, _ = _grid_zoom_max(
-        lambda c, floor: _refined_best_at(c, floor)[0], 1.0 + 1e-6, 60.0, _refined_tail_bound, steps=600, rounds=12
+        lambda c, floor: _refined_best_at(c, floor)[0], 1.0 + 1e-6, 60.0, _refined_tail_bound, steps=600
     )
     value, d_value, tag = _refined_best_at(c_best)
     return BoundResult(value, value, tag, c_best, d_value)

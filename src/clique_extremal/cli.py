@@ -43,7 +43,7 @@ from .formats import _FORMATS, load_graph, write_edge_list, write_graph6
 from .graph import Graph
 from .limits import MAX_CONSTRUCT_N, SIGMA_MAX_N, SUBSET_MAX_N, effective_guard
 from .params import min_tset_missing, t_param, t_param_lower_estimate, tset_missing_upper_estimate
-from .suite import report_to_csv, report_to_json, run_suite
+from .suite import report_to_json, run_suite
 
 
 def _parse_terminals(raw: str) -> list[int]:
@@ -87,6 +87,8 @@ def _emit(data: dict, as_json: bool, human_lines: list[str]) -> None:
 
 
 def _cmd_count(args: argparse.Namespace, g: Graph) -> int:
+    if args.method == "peeling" and args.limit_n is not None:
+        raise ValueError("--limit-n is not read by --method peeling")
     oracle = count_cliques_oracle(g, args.limit_n) if args.method != "peeling" else None
     peeling = count_cliques_peeling(g)[0] if args.method != "oracle" else None
     if args.method == "both" and oracle != peeling:
@@ -305,8 +307,6 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
     report = run_suite(seed=args.seed, quick=args.quick)
     if args.json:
         print(report_to_json(report), end="")
-    elif args.csv:
-        print(report_to_csv(report), end="")
     else:
         width = max(len(r.name) for r in report.results)
         for r in report.results:
@@ -390,9 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     paper = subs.add_parser("verify-paper", help="run the full verification suite")
     paper.add_argument("--seed", type=int, default=0)
     paper.add_argument("--quick", action="store_true")
-    output = paper.add_mutually_exclusive_group()
-    output.add_argument("--json", action="store_true")
-    output.add_argument("--csv", action="store_true")
+    paper.add_argument("--json", action="store_true")
     paper.set_defaults(handler=_cmd_verify_paper)
 
     return parser

@@ -54,9 +54,27 @@ def simple_paths(adj: Sequence[int], u: int, v: int, allowed: int) -> Iterator[t
     Runs on an explicit stack and indexes ``adj`` only while it runs, so a
     caller may change ``adj`` while the generator is suspended as long as
     it restores it before resuming.
+
+    The walk restarts once per number of internal vertices, from the count
+    of breadth-first layers from u's neighbours in ``allowed`` to the first
+    that touches N(v): a route's i-th vertex lies in the first i layers, so
+    no route is shorter, and a lone long route is walked once.
     """
     allowed &= ~(1 << u | 1 << v)
-    for k in range(1, allowed.bit_count() + 1):
+    layer = reached = adj[u] & allowed
+    first = 1
+    while not layer & adj[v]:
+        grown = 0
+        while layer:
+            low = layer & -layer
+            layer ^= low
+            grown |= adj[low.bit_length() - 1]
+        layer = grown & allowed & ~reached
+        if not layer:
+            return
+        reached |= layer
+        first += 1
+    for k in range(first, allowed.bit_count() + 1):
         route, used = [u], 0
         stack = [adj[u] & allowed]  # stack[i]: untried next vertices after route[i]
         while stack:

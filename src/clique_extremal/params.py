@@ -22,7 +22,6 @@ __all__ = [
     "tset_missing_upper_estimate",
     "t_param",
     "t_param_lower_estimate",
-    "delta_lower_bound",
     "delta_threshold_no_subdivision",
 ]
 
@@ -217,16 +216,6 @@ def t_param_lower_estimate(g: Graph) -> int:
         raise ValueError("t_param is undefined on the empty graph")
     total_missing = n * (n - 1) // 2 - g.num_edges
     return next(t for t in range(n, 0, -1) if _averaging_estimate(n, total_missing, t) <= n - t)
-
-
-def delta_lower_bound(n: int, x: int, t: int) -> Fraction:
-    """If every t-set of an n-vertex graph misses at least x edges, the
-    maximum missing degree is at least 2nx/t^2 (exact rational)."""
-    if t == 0:
-        raise ValueError("t must be positive")
-    if n < t:
-        raise ValueError(f"need n >= t, got n = {n}, t = {t}")
-    return Fraction(2 * n * x, t * t)
 
 
 def delta_threshold_no_subdivision(n: int, t: int) -> Fraction:

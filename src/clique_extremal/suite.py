@@ -36,9 +36,7 @@ from .embed import (
 from .graph import Graph
 from .params import delta_threshold_no_subdivision, min_tset_missing, t_param
 
-__all__ = [
-    "CheckResult", "SuiteReport", "run_suite", "report_to_json", "report_to_csv", "CHECKS",
-]
+__all__ = ["CheckResult", "SuiteReport", "run_suite", "report_to_json", "CHECKS"]
 
 _DENSITIES = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -380,10 +378,3 @@ def report_to_json(report: SuiteReport) -> str:
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-
-def report_to_csv(report: SuiteReport) -> str:
-    lines = ["name,passed,summary"]
-    for r in report.results:
-        summary = r.summary.replace('"', "'")
-        lines.append(f'{r.name},{str(r.passed).lower()},"{summary}"')
-    return "\n".join(lines) + "\n"

@@ -384,6 +384,20 @@ def test_limit_n_raises_the_guard_for_its_call(capsys, tmp_path):
     assert json.loads(out)["sigma"] == 1
 
 
+def test_limit_n_with_the_peeling_counter_is_usage_error(capsys, tmp_path):
+    # only the oracle has a guard, so --limit-n is rejected, not ignored
+    from clique_extremal import Graph
+
+    path = str(tmp_path / "small.el")
+    save_graph(Graph.from_edge_list(5, [(0, 1)]), path, "edgelist")
+    code, out, err = run(capsys, "count", "--input", path, "--method", "peeling", "--limit-n", "5")
+    assert code == 2
+    assert out == "" and "--limit-n is not read by --method peeling" in err
+    for method in ("oracle", "both"):
+        code, out, _ = run(capsys, "count", "--input", path, "--method", method, "--limit-n", "5", "--json")
+        assert code == 0 and json.loads(out)["count_including_empty"] == 7, method
+
+
 def test_negative_guard_is_a_usage_error(capsys, tmp_path):
     from clique_extremal import Graph
 
@@ -433,18 +447,14 @@ def test_verify_paper_quick_json_deterministic(capsys):
     assert len(report["checks"]) == 14
 
 
-def test_verify_paper_csv(capsys):
-    code, out, _ = run(capsys, "verify-paper", "--quick", "--csv")
-    assert code == 0
-    assert out.splitlines()[0] == "name,passed,summary"
-
-
 def test_verify_paper_json_and_csv_together_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-paper", "--quick", "--json", "--csv"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "not allowed with argument" in captured.err
+    # --json is the one machine-readable report; --csv is rejected, alone or not
+    for argv in (["--json", "--csv"], ["--csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-paper", "--quick", *argv])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --csv" in captured.err
 
 
 def test_verify_paper_quick_json_matches_capture(capsys):

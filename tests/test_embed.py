@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -429,11 +430,15 @@ def test_has_immersion_with_ends_dense_graph():
 
 
 def test_has_immersion_with_ends_on_a_deep_path():
-    # the only route has 1,098 internal vertices; a recursive path walk
-    # would exceed the interpreter's recursion limit
-    n = 1100
+    # the only route has 2,198 internal vertices; a recursive path walk
+    # would exceed the interpreter's recursion limit, and a walk that
+    # restarts at one internal vertex per route length re-walks every
+    # prefix, for seconds
+    n = 2200
     g = Graph.from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
+    start = time.perf_counter()
     assert has_immersion_with_ends(g, [0, n - 1], limit_n=n)
+    assert time.perf_counter() - start < 0.5
 
 
 # The earlier searches, kept as the reference: an augmenting matching over
@@ -549,6 +554,39 @@ def reference_has_immersion(g, terminals, strong):
         return False
 
     return pack(0)
+
+
+def reference_simple_paths(adj, u, v, allowed):
+    allowed &= ~(1 << u | 1 << v)
+    for k in range(1, allowed.bit_count() + 1):
+        route, used = [u], 0
+        stack = [adj[u] & allowed]
+        while stack:
+            cands = stack[-1]
+            if not cands:
+                stack.pop()
+                used &= ~(1 << route.pop())
+                continue
+            low = cands & -cands
+            stack[-1] = cands ^ low
+            w = low.bit_length() - 1
+            if len(stack) < k:
+                route.append(w)
+                used |= low
+                stack.append(adj[w] & allowed & ~used)
+            elif adj[w] >> v & 1:
+                yield used | low, (*route, w, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1), st.data())
+def test_simple_paths_match_the_reference_walker(n, p, seed, data):
+    # the reference restarts at one internal vertex instead of at the
+    # breadth-first distance, and must yield the same sequence
+    g = random_graph(n, p, seed)
+    u, v = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    allowed = data.draw(st.integers(0, g.full_mask))
+    assert list(simple_paths(g.rows, u, v, allowed)) == list(reference_simple_paths(g.rows, u, v, allowed))
 
 
 @st.composite

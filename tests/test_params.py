@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from clique_extremal import (
     Graph,
     GuardExceeded,
-    delta_lower_bound,
     delta_threshold_no_subdivision,
     matching_complement,
     min_tset_missing,
@@ -102,7 +101,7 @@ def test_averaging_threshold_stop_agrees_with_the_exact_bound():
                 threshold = delta * t * t // (2 * g.n)
                 value, witness = min_tset_missing(g, t, stop_at=threshold)
                 holds = value <= threshold
-                assert holds == (delta >= delta_lower_bound(g.n, exact, t)), (seed, g, t)
+                assert holds == (delta >= Fraction(2 * g.n * exact, t * t)), (seed, g, t)
                 if holds:
                     assert len(witness) == t and len(set(witness)) == t
                     assert g.missing_edges_within(witness) <= threshold
@@ -324,24 +323,13 @@ def test_t_param_report_fields():
         t_param(Graph.from_edge_list(0, []))
 
 
-def test_delta_lower_bound_values():
-    assert delta_lower_bound(20, 5, 10) == 2
-    assert delta_lower_bound(9, 0, 4) == 0
-    assert delta_lower_bound(12, 6, 6) == 4
-    assert delta_lower_bound(5, 1, 3) == Fraction(10, 9)
-    with pytest.raises(ValueError):
-        delta_lower_bound(5, 1, 0)
-    with pytest.raises(ValueError):
-        delta_lower_bound(3, 1, 5)
-
-
 def test_delta_lower_bound_holds_with_exact_minimum():
     for seed in range(30):
         g = random_graph(seed % 10 + 4, (seed % 9 + 1) / 10.0, seed)
         delta = Fraction(g.max_missing_degree())
         for t in range(1, g.n + 1):
             x, _ = min_tset_missing(g, t)
-            assert delta >= delta_lower_bound(g.n, x, t)
+            assert delta >= Fraction(2 * g.n * x, t * t)
 
 
 def test_delta_lower_bound_tight_on_cycle():
@@ -349,7 +337,7 @@ def test_delta_lower_bound_tight_on_cycle():
     g = cycle_graph(5)
     x, _ = min_tset_missing(g, 5)
     assert x == 5
-    assert delta_lower_bound(5, x, 5) == Fraction(2) == Fraction(g.max_missing_degree())
+    assert Fraction(2 * 5 * x, 5 * 5) == 2 == g.max_missing_degree()
 
 
 def test_delta_threshold_values():
