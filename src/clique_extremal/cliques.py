@@ -148,14 +148,16 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
 
     Each pick then counts its subtree on an explicit stack of non-empty
     (residual, depth) entries, starting from N(v) & residual at depth 1,
-    before the next pick. An entry picks a minimum degree vertex by a scan,
+    before the next pick. An entry picks a minimum degree vertex by the scan
+    of ``_min_degree_vertex``, written inline to save a call per entry,
     counts the clique it closes, then pushes the rest of its level and above
     it the child N(v) & residual, one level deeper, so the stack holds one
     entry per level. A residual that is a clique adds all its non-empty
     subsets. The picks below the top level do not change the count, so a
-    residual of one or two vertices closes without a pick: a vertex or an
-    edge is a clique, and two non-adjacent vertices add two cliques of one
-    vertex."""
+    residual of at most three vertices closes without a pick by its edge
+    count e: it adds its vertices and edges, plus the triangle when e = 3,
+    and its clique number is 1 for e = 0, 2 for e = 1 or 2, and 3 for
+    e = 3."""
     adj = g.rows
     degree = [row.bit_count() for row in adj]
     buckets = [0] * g.n
@@ -194,18 +196,26 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
         while stack:
             residual, depth = stack.pop()
             size = residual.bit_count()
-            if size < 3:  # a vertex, an edge, or two singletons
+            if size <= 3:  # closes by its edge count e
                 low = residual & -residual
-                if size == 1 or adj[low.bit_length() - 1] & residual:
-                    total += (1 << size) - 1
-                    depth += size
-                else:
-                    total += 2
-                    depth += 1
+                rest = residual ^ low
+                e = (adj[low.bit_length() - 1] & rest).bit_count()
+                if size == 3 and adj[(rest & -rest).bit_length() - 1] & rest:
+                    e += 1
+                total += size + e + (e == 3)
+                depth += 1 + (e > 0) + (e == 3)
                 if depth > omega:
                     omega = depth
                 continue
-            u, d = _min_degree_vertex(adj, residual)
+            d = size
+            rest = residual
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                dw = (adj[w] & residual).bit_count()
+                if dw < d:
+                    u, d = w, dw
             if d == size - 1:
                 total += (1 << size) - 1
                 if depth + size > omega:

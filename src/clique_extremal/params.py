@@ -195,17 +195,32 @@ def _averaging_estimate(n: int, total_missing: int, t: int) -> int:
 
 def t_param(g: Graph, limit_n: int | None = None) -> ParamReport:
     """Largest t admitting a t-set with at most n - t missing edges inside,
-    plus the witness and the sandwich t - Delta <= sigma <= t."""
+    plus the witness and the sandwich t - Delta <= sigma <= t.
+
+    The scan starts at ``t_param_lower_estimate``, which always qualifies:
+    the minimum over t-sets is an integer no larger than the average, so at
+    most its floor, which the estimate keeps at most n - t. It then steps
+    up while a (t + 1)-set misses at most n - t - 1 edges, and stops at the
+    first failure. Qualifying is closed downwards, since every (t - 1)-subset
+    of a qualifying t-set misses at most n - t < n - t + 1 edges, so no t
+    above the first failure qualifies, and only that one search has to run
+    to exhaustion. The witness comes from the call ``min_tset_missing(g,
+    t(G), stop_at=n - t(G))``, the one a scan down from n would return from,
+    so it is the same.
+    """
     n = g.n
     if n == 0:
         raise ValueError("t_param is undefined on the empty graph")
     check_guard("t_param", n, SUBSET_MAX_N, limit_n)
+    t = t_param_lower_estimate(g)
+    _, witness = min_tset_missing(g, t, limit_n=limit_n, stop_at=n - t)
+    while t < n:
+        value, larger = min_tset_missing(g, t + 1, limit_n=limit_n, stop_at=n - t - 1)
+        if value > n - t - 1:
+            break
+        t, witness = t + 1, larger
     delta = g.max_missing_degree()
-    for t in range(n, 0, -1):
-        value, witness = min_tset_missing(g, t, limit_n=limit_n, stop_at=n - t)
-        if value <= n - t:
-            return ParamReport(t, witness, delta, t - delta, t)
-    raise AssertionError("unreachable: t = 1 always qualifies")
+    return ParamReport(t, witness, delta, t - delta, t)
 
 
 def t_param_lower_estimate(g: Graph) -> int:

@@ -295,6 +295,16 @@ def test_peeling_matches_oracle():
         assert count_cliques_peeling(g)[0] == count_cliques_oracle(g)
 
 
+def test_peeling_matches_oracle_on_every_graph_up_to_5_vertices():
+    # every edge set on at most 5 vertices, 2^10 of them at n = 5: residuals
+    # of up to three vertices, which close by their edge count, meet every e
+    for n in range(6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for edges in range(1 << len(pairs)):
+            g = Graph.from_edge_list(n, [e for i, e in enumerate(pairs) if edges >> i & 1])
+            assert count_cliques_peeling(g)[0] == count_cliques_oracle(g), (n, edges)
+
+
 def test_oracle_guard():
     with pytest.raises(GuardExceeded):
         count_cliques_oracle(Graph.from_edge_list(41, []))

@@ -68,12 +68,17 @@ def test_min_tset_missing_golden_values_and_witnesses():
 
 
 @st.composite
-def graph_and_t(draw):
-    n = draw(st.integers(1, 10))
+def graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph.from_edge_list(n, [e for e, keep in zip(pairs, present) if keep])
-    return g, draw(st.integers(1, n)), draw(st.integers(0, n))
+    return Graph.from_edge_list(n, [e for e, keep in zip(pairs, present) if keep])
+
+
+@st.composite
+def graph_and_t(draw):
+    g = draw(graphs(10))
+    return g, draw(st.integers(1, g.n)), draw(st.integers(0, g.n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -198,17 +203,15 @@ def reference_min_tset_missing(
 
 @st.composite
 def graph_and_t_order(draw):
-    n = draw(st.integers(1, 12))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph.from_edge_list(n, [e for e, keep in zip(pairs, present) if keep])
+    g = draw(graphs(12))
+    n = g.n
     ts = list(range(1, n + 1))
     order = draw(st.sampled_from(("ascending", "descending", "shuffled")))
     if order == "descending":
         ts.reverse()
     elif order == "shuffled":
         ts = draw(st.permutations(ts))
-    return g, ts, draw(st.integers(0, len(pairs)))
+    return g, ts, draw(st.integers(0, n * (n - 1) // 2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -312,6 +315,55 @@ def test_t_param_matches_brute_force():
     for seed in range(25):
         g = random_graph(seed % 9 + 2, (seed % 9 + 1) / 10.0, seed)
         assert t_param(g).t_param == brute_t_param(g)
+
+
+# The scan down from n, kept verbatim as the reference: the scan up from
+# t_param_lower_estimate must give the same t, witness and sandwich.
+def reference_t_param(g: Graph, limit_n: int | None = None) -> params.ParamReport:
+    n = g.n
+    if n == 0:
+        raise ValueError("t_param is undefined on the empty graph")
+    check_guard("t_param", n, SUBSET_MAX_N, limit_n)
+    delta = g.max_missing_degree()
+    for t in range(n, 0, -1):
+        value, witness = min_tset_missing(g, t, limit_n=limit_n, stop_at=n - t)
+        if value <= n - t:
+            return params.ParamReport(t, witness, delta, t - delta, t)
+    raise AssertionError("unreachable: t = 1 always qualifies")
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(12))
+def test_t_param_matches_the_downward_scan(g):
+    assert t_param(g) == reference_t_param(g)
+
+
+# G(24, p) at the subset guard, where t(G) sits well above the averaging bound
+AT_THE_GUARD = [(p / 10, seed) for p in range(3, 9) for seed in range(4)]
+
+
+@pytest.mark.parametrize("p, seed", AT_THE_GUARD)
+def test_t_param_matches_the_downward_scan_at_the_guard(p, seed):
+    g = random_graph(SUBSET_MAX_N, p, seed)
+    assert t_param(g) == reference_t_param(g)
+
+
+def test_t_param_runs_one_failing_search(monkeypatch):
+    # one search per t from t_lo to t(G), then one that fails; the reference
+    # calls this module's min_tset_missing, which stays uncounted
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return min_tset_missing(*args, **kwargs)
+
+    monkeypatch.setattr(params, "min_tset_missing", counted)
+    for p, seed in AT_THE_GUARD:
+        g = random_graph(SUBSET_MAX_N, p, seed)
+        expected = reference_t_param(g).t_param
+        calls.clear()
+        assert t_param(g).t_param == expected
+        assert len(calls) <= expected - t_param_lower_estimate(g) + 2, (p, seed, calls)
 
 
 def test_t_param_report_fields():
