@@ -87,7 +87,10 @@ def boundt_value(t: int, x: int, d: int) -> BoundtValue:
         raise ValueError(f"need t >= 1 and x >= 0, got t = {t}, x = {x}")
     if 2 * x > t * min(t - 1, d):
         raise ValueError(f"no {t}-vertex graph with missing degrees at most {d} misses {x} edges")
-    log2 = _boundt_log2(t, x, d)
+    try:
+        log2 = _boundt_log2(t, x, d)
+    except OverflowError:
+        raise ValueError("t, x or d overflows a float: beyond the evaluator's scale") from None
     return BoundtValue(log2, Fraction(t) - Fraction(x, d))
 
 
@@ -114,9 +117,12 @@ def case1_exponent(c: float, d: float) -> float:
     missing-degree cap exceeds 2c(c-1)."""
     if c <= 1:
         raise ValueError(f"need c > 1, got {c}")
-    if d <= 2.0 * c * (c - 1.0):
-        raise ValueError(f"the sparse branch needs d > 2c(c - 1) = {2.0 * c * (c - 1.0)}, got d = {d}")
-    return 1.0 + (c - 1.0) * case1_rate(d)
+    try:
+        if d <= 2.0 * c * (c - 1.0):
+            raise ValueError(f"the sparse branch needs d > 2c(c - 1) = {2.0 * c * (c - 1.0)}, got d = {d}")
+        return 1.0 + (c - 1.0) * case1_rate(d)
+    except OverflowError:
+        raise ValueError("c or d overflows a float: beyond the evaluator's scale") from None
 
 
 def _case1_best_at(c: float) -> tuple[float, int]:
@@ -205,18 +211,21 @@ def g_bound(m: int, x: int, t: int, d: int) -> BoundResult:
     lo = max(1, -(-2 * x // t))
     if lo > d:
         raise ValueError(f"empty D range: ceil(2x/t) = {lo} exceeds d = {d}")
-    # max keeps the first of equal maxima: the smallest such D
-    main, slack, tag, big_d = max(
-        (g_case_log2(m, x, t, big_d) + (big_d,) for big_d in range(lo, d + 1)), key=itemgetter(0)
-    )
-    return BoundResult(
-        log2_bound=main,
-        per_t_exponent=main / t,
-        case_tag=tag,
-        c_value=m / t,
-        d_value=big_d,
-        slack_log2=slack,
-    )
+    try:
+        # max keeps the first of equal maxima: the smallest such D
+        main, slack, tag, big_d = max(
+            (g_case_log2(m, x, t, big_d) + (big_d,) for big_d in range(lo, d + 1)), key=itemgetter(0)
+        )
+        return BoundResult(
+            log2_bound=main,
+            per_t_exponent=main / t,
+            case_tag=tag,
+            c_value=m / t,
+            d_value=big_d,
+            slack_log2=slack,
+        )
+    except OverflowError:
+        raise ValueError("m, x or t overflows a float: beyond the evaluator's scale") from None
 
 
 def g_recursion_check(m: int, x: int, t: int, d: int) -> RecursionCheck:
@@ -260,7 +269,10 @@ def g_recursion_check(m: int, x: int, t: int, d: int) -> RecursionCheck:
     lo = max(1, -(-2 * x // t))
     recursion_holds = False
     for delta1 in range(lo, min(d, m - t) + 1):
-        # cannot raise: m - Delta_1 >= t, lo <= Delta_1 <= d <= _MAX_D, and delta falls with m
+        # cannot raise: m - Delta_1 >= t, lo <= Delta_1 <= d <= _MAX_D, and delta falls with m.
+        # Nor can a float overflow: each D here is in base's range, so base formed t and x/D,
+        # and t*t/(2x) wherever this call is below delta; above it, (m - Delta_1 - t)/D is
+        # under base's (m - t)/D or, where base was below delta at D, under t*t/(2x).
         inner = g_bound(m - delta1, x, t, delta1).log2_bound
         if base <= math.log2(delta1 + 1.0) + inner + _RECURSION_TOL:
             recursion_holds = True

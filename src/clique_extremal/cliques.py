@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from .graph import Graph, reach
 from .limits import ORACLE_MAX_N, check_guard
 
-__all__ = ["CliqueStats", "PeelingTrace", "count_cliques_oracle", "count_cliques_peeling", "peel_trace"]
+__all__ = ["CliqueStats", "PeelingTrace", "count_cliques_oracle", "count_cliques_peeling"]
 
-STOP_SIZE = "size-threshold"
-STOP_SMALL_DROP = "small-drop"
 STOP_EXHAUSTED = "clique-exhausted"
 
 
@@ -34,13 +32,14 @@ class CliqueStats:
 
 @dataclass(frozen=True)
 class PeelingTrace:
-    """Outer-loop skeleton of a peeling run.
+    """Top-level picks of a ``count_cliques_peeling`` run.
 
     ``sizes`` has one more entry than ``picked``: sizes[i] is the residual
-    order before the (i+1)-th pick. ``missing_degrees[i]`` is the maximum
-    missing degree of the residual at pick time (the picked vertex has
-    minimum degree, hence maximum missing degree). ``stop_index`` points at
-    the sizes entry that triggered the stop rule.
+    order before the (i+1)-th pick, so it runs from n down to 0.
+    ``missing_degrees[i]`` is the maximum missing degree of the residual at
+    pick time (the picked vertex has minimum degree, hence maximum missing
+    degree). The counter peels to exhaustion, so ``stop_reason`` is
+    clique-exhausted and ``stop_index`` is n, the last sizes entry.
     """
 
     picked: tuple[int, ...]
@@ -48,26 +47,6 @@ class PeelingTrace:
     missing_degrees: tuple[int, ...]
     stop_reason: str
     stop_index: int
-
-
-def _trace(picked: list[int], sizes: range | list[int], missing_degrees: list[int], reason: str) -> PeelingTrace:
-    """The trace of a loop that stopped for ``reason`` after its last size entry."""
-    return PeelingTrace(tuple(picked), tuple(sizes), tuple(missing_degrees), reason, len(sizes) - 1)
-
-
-def _min_degree_vertex(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
-    """Vertex of minimum degree in the induced submask, lowest index on ties."""
-    best_v = -1
-    best_d = 1 << 62
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        d = (adj[v] & mask).bit_count()
-        if d < best_d:
-            best_v, best_d = v, d
-    return best_v, best_d
 
 
 def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
@@ -133,9 +112,8 @@ def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
 def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
     """Peeling enumeration: repeatedly pick a minimum degree vertex (lowest
     index on ties), count the cliques containing it inside its
-    neighbourhood, then delete it. The trace records the top-level picks; it
-    runs to exhaustion, so its sizes run from n down to 0 and its stop
-    reason is always clique-exhausted.
+    neighbourhood, then delete it. The trace records the top-level picks
+    (see ``PeelingTrace``).
 
     The top level takes its picks from a degree-bucket queue (the
     smallest-last order of Matula and Beck): ``buckets[d]`` is the bitmask
@@ -148,11 +126,11 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
 
     Each pick then counts its subtree on an explicit stack of non-empty
     (residual, depth) entries, starting from N(v) & residual at depth 1,
-    before the next pick. An entry picks a minimum degree vertex by the scan
-    of ``_min_degree_vertex``, written inline to save a call per entry,
-    counts the clique it closes, then pushes the rest of its level and above
-    it the child N(v) & residual, one level deeper, so the stack holds one
-    entry per level. A residual that is a clique adds all its non-empty
+    before the next pick. An entry picks a minimum degree vertex (lowest
+    index on ties) by an inline scan of its residual, counts the clique it
+    closes, then pushes the rest of its level and above it the child
+    N(v) & residual, one level deeper, so the stack holds one entry per
+    level. A residual that is a clique adds all its non-empty
     subsets. The picks below the top level do not change the count, so a
     residual of at most three vertices closes without a pick by its edge
     count e: it adds its vertices and edges, plus the triangle when e = 3,
@@ -227,39 +205,6 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
             stack.append((residual & ~(1 << u), depth))
             if d:
                 stack.append((adj[u] & residual, depth + 1))
-    return CliqueStats(total, total - 1, omega), _trace(picked, range(g.n, -1, -1), missing_degrees, STOP_EXHAUSTED)
+    trace = PeelingTrace(tuple(picked), tuple(range(g.n, -1, -1)), tuple(missing_degrees), STOP_EXHAUSTED, g.n)
+    return CliqueStats(total, total - 1, omega), trace
 
-
-def peel_trace(g: Graph, t: int, size_factor: float = 1.05, drop_exponent: float = 0.55) -> PeelingTrace:
-    """Outer peeling loop with the early stopping rule.
-
-    Each step picks a global minimum degree vertex (lowest index on ties)
-    and deletes it together with its non-neighbours. The loop stops when the
-    residual order falls to at most ``size_factor * t`` (size-threshold),
-    when a step shrinks the residual by less than ``size ** drop_exponent``
-    (small-drop), or when nothing is left to pick (clique-exhausted).
-    """
-    if t < 1:
-        raise ValueError(f"peel_trace needs t >= 1, got t = {t}")
-    adj = g.rows
-    residual = g.full_mask
-    picked: list[int] = []
-    sizes = [g.n]
-    missing_degrees: list[int] = []
-    while True:
-        size = sizes[-1]
-        if size <= size_factor * t:
-            reason = STOP_SIZE
-            break
-        if residual == 0:
-            reason = STOP_EXHAUSTED
-            break
-        v, d = _min_degree_vertex(adj, residual)
-        picked.append(v)
-        missing_degrees.append(size - 1 - d)
-        residual &= adj[v]
-        sizes.append(residual.bit_count())
-        if sizes[-1] >= size - size ** drop_exponent:
-            reason = STOP_SMALL_DROP
-            break
-    return _trace(picked, sizes, missing_degrees, reason)

@@ -1,8 +1,8 @@
 """Size guards for the exhaustive routines.
 
-Every exact search takes an optional ``limit_n`` argument; when it is left as
-None the default below applies. A negative limit is a ValueError, not a guard
-that every input exceeds. Nothing else moves a guard.
+Each guarded search takes an optional ``limit_n`` (``count_cliques_peeling``
+has no guard); None applies the default below. A negative limit is a
+ValueError, not a guard that every input exceeds. Nothing else moves a guard.
 
 ``MAX_PARSE_N`` and ``MAX_CONSTRUCT_N`` are no guards: the first caps the
 vertex count an edge-list header may announce, the second the vertex count

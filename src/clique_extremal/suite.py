@@ -196,7 +196,8 @@ def check_sigma_sandwich(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     instances = 60 if quick else 300
     sandwich_bad = 0
     threshold_bad = 0
-    thresholds: dict[tuple[int, int], Fraction] = {}
+    # floors, since the integer Delta is above a threshold iff it is above its floor
+    thresholds: dict[tuple[int, int], int] = {}
     for g in _random_graphs(seed, "sigma-sandwich", instances, 12):
         sigma = sigma_exhaustive(g)
         rep = t_param(g)
@@ -205,7 +206,7 @@ def check_sigma_sandwich(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
         for t in range(sigma + 1, g.n + 1):
             threshold = thresholds.get((g.n, t))
             if threshold is None:
-                threshold = thresholds[g.n, t] = delta_threshold_no_subdivision(g.n, t)
+                threshold = thresholds[g.n, t] = math.floor(delta_threshold_no_subdivision(g.n, t))
             if not rep.delta > threshold:
                 threshold_bad += 1
     data = {

@@ -417,8 +417,9 @@ def test_g_recursion_check_evaluates_each_point_once(monkeypatch, params):
 
 def _recursion_base_points(rng):
     """Seeded (kind, (m, x, t, d)): moderate points, points whose Delta_1
-    range ends at or near _MAX_D, and points whose ceil(delta) is at or
-    next to _MAX_DELTA (some of them invalid base points)."""
+    range ends at or near _MAX_D, points whose ceil(delta) is at or next to
+    _MAX_DELTA, and points whose t^2 is at or next to the top of the float
+    range (some of them invalid base points)."""
     for _ in range(60):
         t = rng.randint(1, 60)
         yield "moderate", (t + rng.randint(0, 400), rng.randint(1, 400), t, rng.randint(1, 80))
@@ -430,13 +431,19 @@ def _recursion_base_points(rng):
     for _ in range(8):
         # at t = 10 and x = 50, delta = m
         yield "max-delta", (bounds._MAX_DELTA + rng.randint(-3, 1), 50, 10, rng.randint(10, 40))
+    for _ in range(8):
+        # t^2 next to the top of the float range and delta = 2xm/t^2 from 1 to 6: the base
+        # evaluates only if t*t/(2x) is a float, and the inner points form no larger float
+        t = math.isqrt(2 ** 1024) + rng.randint(-(2 ** 460), 2 ** 460)
+        x, k = rng.randint(1, 3), rng.randint(1, 6)
+        yield "float-range", (k * t * t // (2 * x), x, t, rng.randint(1, 8))
 
 
 def test_g_recursion_check_inner_points_evaluate(monkeypatch):
     # once the base point evaluates, g_bound evaluates at every (m - Delta_1, Delta_1)
     # the peel-step loop visits; a fresh table, so its growth ends with the test
     monkeypatch.setattr(bounds, "_log_ratio_prefix", bounds._log_ratio_prefix[:2])
-    valid = {"moderate": 0, "max-d": 0, "max-delta": 0}
+    valid = {"moderate": 0, "max-d": 0, "max-delta": 0, "float-range": 0}
     for kind, (m, x, t, d) in _recursion_base_points(random.Random("recursion-inner")):
         try:
             g_bound(m, x, t, d)
@@ -469,6 +476,22 @@ def test_g_bound_rejects_d_beyond_scale_before_the_scan():
     check = g_recursion_check(10 ** 6, 1, 1, 10 ** 9)
     assert not check.passed
     assert check.failures == ("base point (1000000,1,1,1000000000) is invalid",)
+
+
+@pytest.mark.parametrize("evaluate, params", [
+    (boundt_value, (2, 1, 10 ** 400)),  # 2^(-1/d) takes d as a float
+    (boundt_value, (10 ** 310, 1, 1)),  # t - x/d takes t as a float
+    (case1_exponent, (3.0, 10 ** 400)),
+    (g_bound, (10 ** 400, 1, 10 ** 400, 1)),
+    (g_bound, (10 ** 160, 5 * 10 ** 159, 10 ** 160, 2)),  # t^2 = 10^320 leaves the float range
+])
+def test_integers_beyond_the_float_range_are_beyond_the_scale(evaluate, params):
+    with pytest.raises(ValueError, match="overflows a float: beyond the evaluator's scale"):
+        evaluate(*params)
+    if evaluate is g_bound:
+        check = g_recursion_check(*params)
+        assert not check.passed
+        assert check.failures[0].endswith("is invalid")
 
 
 def test_log_ratio_table_costs_eight_bytes_an_entry(monkeypatch):

@@ -276,6 +276,10 @@ def test_bounds_rejects_a_non_finite_delta(capsys, mode, c):
     assert "non-finite delta" in err
 
 
+# an integer beyond the float range
+_BIG = str(10 ** 400)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -283,6 +287,9 @@ def test_bounds_rejects_a_non_finite_delta(capsys, mode, c):
         ("--mode", "boundt", "--params", "4,5,1"),
         ("--mode", "case1", "--c", "3", "--d", "1"),
         ("--mode", "case1", "--c", "3", "--d", "12"),
+        ("--mode", "boundt", "--params", f"2,1,{_BIG}"),
+        ("--mode", "boundt", "--params", f"{10 ** 310},1,1"),
+        ("--mode", "case1", "--c", "3", "--d", _BIG),
     ],
 )
 def test_bounds_rejects_parameters_outside_their_range(capsys, argv):
@@ -317,6 +324,20 @@ def test_bounds_valid_edge_parameters_still_run(capsys):
     code, out, _ = run(capsys, "bounds", "--mode", "case1", "--c", "3", "--d", "13", "--json")
     assert code == 0
     assert json.loads(out)["D"] == 13
+
+
+@pytest.mark.parametrize(
+    "params",
+    [f"{_BIG},1,{_BIG},1", f"{10 ** 160},{5 * 10 ** 159},{10 ** 160},2"],
+    ids=["m-and-t-beyond", "t-squared-beyond"],
+)
+def test_recursion_check_reports_a_base_point_beyond_the_float_range_as_invalid(capsys, params):
+    code, out, err = run(capsys, "bounds", "--mode", "recursion-check", "--params", params, "--json")
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    assert not report["passed"]
+    assert report["failures"][0].endswith("is invalid")
 
 
 def test_recursion_check_beyond_the_d_limit_ends_at_once():

@@ -14,15 +14,12 @@ from clique_extremal import (
     count_cliques_oracle,
     count_cliques_peeling,
     matching_complement,
-    peel_trace,
     random_graph,
     star_of_clique,
 )
 
 from clique_extremal.cliques import (
     STOP_EXHAUSTED,
-    STOP_SIZE,
-    STOP_SMALL_DROP,
     CliqueStats,
     PeelingTrace,
 )
@@ -345,55 +342,9 @@ def test_peeling_trace_well_formed():
             residual.remove(v)
 
 
-def test_peel_trace_complete_graph_stops_after_first_pick():
-    trace = peel_trace(complete_graph(10), 3)
-    assert trace.sizes == (10, 9)
-    assert trace.picked == (0,)
-    assert trace.stop_reason == "small-drop"
-    assert trace.stop_index == 1
-
-
-def test_peel_trace_matching_complement_drops_by_two():
-    trace = peel_trace(matching_complement(20), 4)
-    assert all(a - b == 2 for a, b in zip(trace.sizes, trace.sizes[1:]))
-    assert all(d == 1 for d in trace.missing_degrees)
-    assert trace.stop_reason == "small-drop"
-
-
-def test_peel_trace_star_first_pick_is_pendant():
-    g = star_of_clique(30, 10)
-    trace = peel_trace(g, 10)
-    first = trace.picked[0]
-    assert first >= 8  # pendants start after the core of size t - 2
-    assert g.degree(first) == 8
-
-
-def test_peel_trace_size_threshold():
-    trace = peel_trace(complete_graph(4), 4)
-    assert trace.stop_reason == "size-threshold"
-    assert trace.sizes == (4,)
-    assert trace.picked == ()
-
-
-def test_peel_trace_configurable_constants():
-    # with exponent 0 a drop counts as small only when it is exactly 1,
-    # so the matching complement (drops of 2) runs down to the size floor
-    trace = peel_trace(matching_complement(20), 4, drop_exponent=0.0)
-    assert trace.stop_reason == "size-threshold"
-    assert trace.sizes[-1] <= 4.2
-    # with exponent 1 every drop is small: one pick then stop
-    trace = peel_trace(matching_complement(20), 4, drop_exponent=1.0)
-    assert trace.stop_reason == "small-drop"
-    assert len(trace.picked) == 1
-    # with a huge size factor the threshold fires immediately
-    trace = peel_trace(matching_complement(20), 4, size_factor=10.0)
-    assert trace.stop_reason == "size-threshold"
-    assert trace.picked == ()
-
-
-# peel_trace and its minimum-degree pick as they were while the pick walked
-# iter_bits, kept verbatim (only renamed) as the reference for the inline
-# bit loop and its lowest-index tie rule.
+# The minimum-degree pick as it was while it walked iter_bits, kept verbatim
+# (only renamed) as reference_peeling's pick, so that reference does not share
+# the inline bit loop or its lowest-index tie rule with the counter it checks.
 
 
 def reference_min_degree_vertex(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
@@ -406,61 +357,3 @@ def reference_min_degree_vertex(adj: tuple[int, ...], mask: int) -> tuple[int, i
             best_v, best_d = v, d
     return best_v, best_d
 
-
-def reference_trace(picked: list[int], sizes: range | list[int], missing_degrees: list[int], reason: str) -> PeelingTrace:
-    """The trace of a loop that stopped for ``reason`` after its last size entry."""
-    return PeelingTrace(tuple(picked), tuple(sizes), tuple(missing_degrees), reason, len(sizes) - 1)
-
-
-def reference_peel_trace(g: Graph, t: int, size_factor: float = 1.05, drop_exponent: float = 0.55) -> PeelingTrace:
-    """Outer peeling loop with the early stopping rule.
-
-    Each step picks a global minimum degree vertex (lowest index on ties)
-    and deletes it together with its non-neighbours. The loop stops when the
-    residual order falls to at most ``size_factor * t`` (size-threshold),
-    when a step shrinks the residual by less than ``size ** drop_exponent``
-    (small-drop), or when nothing is left to pick (clique-exhausted).
-    """
-    if t < 1:
-        raise ValueError(f"peel_trace needs t >= 1, got t = {t}")
-    adj = g.rows
-    residual = g.full_mask
-    picked: list[int] = []
-    sizes = [g.n]
-    missing_degrees: list[int] = []
-    while True:
-        size = sizes[-1]
-        if size <= size_factor * t:
-            reason = STOP_SIZE
-            break
-        if residual == 0:
-            reason = STOP_EXHAUSTED
-            break
-        v, d = reference_min_degree_vertex(adj, residual)
-        picked.append(v)
-        missing_degrees.append(size - 1 - d)
-        residual &= adj[v]
-        sizes.append(residual.bit_count())
-        if sizes[-1] >= size - size ** drop_exponent:
-            reason = STOP_SMALL_DROP
-            break
-    return reference_trace(picked, sizes, missing_degrees, reason)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(0, 14),
-    st.floats(0.0, 1.0),
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 14),
-    st.sampled_from((0.5, 1.0, 1.05, 2.0)),
-    st.sampled_from((0.0, 0.3, 0.55, 1.0)),
-)
-def test_peel_trace_matches_the_reference(n, p, seed, t, size_factor, drop_exponent):
-    g = random_graph(n, p, seed)
-    assert peel_trace(g, t, size_factor, drop_exponent) == reference_peel_trace(g, t, size_factor, drop_exponent)
-
-
-def test_peel_trace_requires_positive_t():
-    with pytest.raises(ValueError):
-        peel_trace(complete_graph(3), 0)
