@@ -216,6 +216,8 @@ def g_bound(m: int, x: int, t: int, d: int) -> BoundResult:
         main, slack, tag, big_d = max(
             (g_case_log2(m, x, t, big_d) + (big_d,) for big_d in range(lo, d + 1)), key=itemgetter(0)
         )
+        if not math.isfinite(main):  # a float product overflows to inf without raising
+            raise OverflowError
         return BoundResult(
             log2_bound=main,
             per_t_exponent=main / t,
@@ -253,9 +255,11 @@ def g_recursion_check(m: int, x: int, t: int, d: int) -> RecursionCheck:
     prev = base
     for mm in (m + 1, m + 2):
         nxt = value(mm, x, t, d)
-        if nxt is not None and nxt < prev - _RECURSION_TOL:
+        if nxt is None:  # beyond the scale: nothing to compare
+            break
+        if nxt < prev - _RECURSION_TOL:
             failures.append(f"not monotone in m at m = {mm}")
-        prev = nxt  # None only if every larger m is invalid too: delta grows with m
+        prev = nxt
     up_x = value(m, x + 1, t, d)
     if up_x is not None and up_x > base + _RECURSION_TOL:
         failures.append(f"not monotone decreasing in x at x = {x + 1}")
@@ -269,12 +273,8 @@ def g_recursion_check(m: int, x: int, t: int, d: int) -> RecursionCheck:
     lo = max(1, -(-2 * x // t))
     recursion_holds = False
     for delta1 in range(lo, min(d, m - t) + 1):
-        # cannot raise: m - Delta_1 >= t, lo <= Delta_1 <= d <= _MAX_D, and delta falls with m.
-        # Nor can a float overflow: each D here is in base's range, so base formed t and x/D,
-        # and t*t/(2x) wherever this call is below delta; above it, (m - Delta_1 - t)/D is
-        # under base's (m - t)/D or, where base was below delta at D, under t*t/(2x).
-        inner = g_bound(m - delta1, x, t, delta1).log2_bound
-        if base <= math.log2(delta1 + 1.0) + inner + _RECURSION_TOL:
+        inner = value(m - delta1, x, t, delta1)  # None beyond the scale: not satisfied
+        if inner is not None and base <= math.log2(delta1 + 1.0) + inner + _RECURSION_TOL:
             recursion_holds = True
             break
     if not recursion_holds:
@@ -456,7 +456,7 @@ def _refined_tail_bound(c: float) -> float:
     return 1.0 + u * (8.0 + 3.0 * u) / (4.0 * _LN2 * (c - 1.0))
 
 
-def optimize_constant(mode: str = "coarse") -> BoundResult:
+def optimize_constant(mode: str) -> BoundResult:
     """Exponential constant of the clique bound for graphs without a
     subdivision of a t-clique, in the large-t limit.
 

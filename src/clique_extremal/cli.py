@@ -181,12 +181,7 @@ def _cmd_embed(args: argparse.Namespace, g: Graph) -> int:
         cert = immerse_dense(g, terminals)
     else:
         cert = subdivide_dense(g, terminals)
-    text = certificate_dumps(cert)
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    print(certificate_dumps(cert), end="")
     return 0
 
 
@@ -321,11 +316,10 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
 
 
 def _add_graph_input(sub: argparse.ArgumentParser, guarded: dict[str, dict] | None = None) -> None:
-    """--input, --format and --json; for a command that runs a guarded
-    search, then its ``guarded`` options and --limit-n."""
+    """--input and --format; for a command that runs a guarded search, then
+    its ``guarded`` options and --limit-n."""
     sub.add_argument("--input", required=True, help="path to the graph file")
     sub.add_argument("--format", choices=_FORMATS, default="edgelist")
-    sub.add_argument("--json", action="store_true")
     if guarded is not None:
         for flag, options in guarded.items():
             sub.add_argument(flag, **options)
@@ -357,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_input(embed)
     embed.add_argument("--lemma", choices=("immersion", "subdivision"), required=True)
     embed.add_argument("--terminals", required=True, help="comma-separated vertex list")
-    embed.add_argument("--output", default=None, help="write the certificate JSON here")
     embed.set_defaults(handler=_cmd_embed)
 
     verify = subs.add_parser("verify", help="check a certificate against a graph")
@@ -384,14 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bounds.add_argument("--c", type=float, default=None)
     bounds.add_argument("--d", type=int, default=None)
-    bounds.add_argument("--json", action="store_true")
     bounds.set_defaults(handler=_cmd_bounds)
 
     paper = subs.add_parser("verify-paper", help="run the full verification suite")
     paper.add_argument("--seed", type=int, default=0)
     paper.add_argument("--quick", action="store_true")
-    paper.add_argument("--json", action="store_true")
     paper.set_defaults(handler=_cmd_verify_paper)
+
+    # construct and embed print a graph or a certificate, and read no --json
+    for sub in (count, sigma, params, verify, bounds, paper):
+        sub.add_argument("--json", action="store_true")
 
     return parser
 

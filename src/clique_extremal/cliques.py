@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from .graph import Graph, reach
 from .limits import ORACLE_MAX_N, check_guard
 
-__all__ = ["CliqueStats", "PeelingTrace", "count_cliques_oracle", "count_cliques_peeling"]
-
-STOP_EXHAUSTED = "clique-exhausted"
+__all__ = ["CliqueStats", "count_cliques_oracle", "count_cliques_peeling"]
 
 
 @dataclass(frozen=True)
@@ -28,25 +26,6 @@ class CliqueStats:
     count_including_empty: int
     count_nonempty: int
     clique_number: int
-
-
-@dataclass(frozen=True)
-class PeelingTrace:
-    """Top-level picks of a ``count_cliques_peeling`` run.
-
-    ``sizes`` has one more entry than ``picked``: sizes[i] is the residual
-    order before the (i+1)-th pick, so it runs from n down to 0.
-    ``missing_degrees[i]`` is the maximum missing degree of the residual at
-    pick time (the picked vertex has minimum degree, hence maximum missing
-    degree). The counter peels to exhaustion, so ``stop_reason`` is
-    clique-exhausted and ``stop_index`` is n, the last sizes entry.
-    """
-
-    picked: tuple[int, ...]
-    sizes: tuple[int, ...]
-    missing_degrees: tuple[int, ...]
-    stop_reason: str
-    stop_index: int
 
 
 def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
@@ -109,11 +88,11 @@ def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
     return CliqueStats(count, count - 1, alpha)
 
 
-def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
+def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, tuple[int, ...]]:
     """Peeling enumeration: repeatedly pick a minimum degree vertex (lowest
     index on ties), count the cliques containing it inside its
-    neighbourhood, then delete it. The trace records the top-level picks
-    (see ``PeelingTrace``).
+    neighbourhood, then delete it. Returns the counts and the top-level
+    picks in order.
 
     The top level takes its picks from a degree-bucket queue (the
     smallest-last order of Matula and Beck): ``buckets[d]`` is the bitmask
@@ -142,12 +121,11 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
     for v, d in enumerate(degree):
         buckets[d] |= 1 << v
     picked: list[int] = []
-    missing_degrees: list[int] = []
     total = 1 + g.n  # each top-level pick closes its one-vertex clique
     omega = 1 if g.n else 0
     alive = g.full_mask
     min_d = 0
-    for order in range(g.n, 0, -1):
+    for _ in range(g.n):
         while not buckets[min_d]:
             min_d += 1
         bucket = buckets[min_d]
@@ -156,7 +134,6 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
         v = low.bit_length() - 1
         alive ^= low
         picked.append(v)
-        missing_degrees.append(order - 1 - min_d)
         if not min_d:
             continue
         child = adj[v] & alive
@@ -205,6 +182,5 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
             stack.append((residual & ~(1 << u), depth))
             if d:
                 stack.append((adj[u] & residual, depth + 1))
-    trace = PeelingTrace(tuple(picked), tuple(range(g.n, -1, -1)), tuple(missing_degrees), STOP_EXHAUSTED, g.n)
-    return CliqueStats(total, total - 1, omega), trace
+    return CliqueStats(total, total - 1, omega), tuple(picked)
 

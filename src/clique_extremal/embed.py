@@ -10,7 +10,7 @@ strong immersions whose paths are internally vertex-disjoint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator
 
@@ -51,7 +51,7 @@ class Certificate:
 @dataclass(frozen=True)
 class VerificationResult:
     ok: bool
-    violations: tuple[str, ...] = field(default_factory=tuple)
+    violations: tuple[str, ...]
 
     def __bool__(self) -> bool:
         return self.ok

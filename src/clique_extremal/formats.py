@@ -28,7 +28,6 @@ __all__ = [
     "read_graph6",
     "write_graph6",
     "load_graph",
-    "save_graph",
 ]
 
 _GRAPH6_HEADER = ">>graph6<<"
@@ -198,11 +197,3 @@ def load_graph(path: str, fmt: str = "edgelist") -> Graph:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not ASCII text: {exc}") from exc
     return read_edge_list(text) if fmt == "edgelist" else read_graph6(text)
-
-
-def save_graph(g: Graph, path: str, fmt: str = "edgelist") -> None:
-    if fmt not in _FORMATS:
-        raise FormatError(f"unknown graph format {fmt!r}")
-    text = write_edge_list(g) if fmt == "edgelist" else write_graph6(g) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)

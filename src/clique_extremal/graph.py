@@ -51,14 +51,11 @@ def simple_paths(adj: Sequence[int], u: int, v: int, allowed: int) -> Iterator[t
     internal vertex, all of them in ``allowed``: by number of internal
     vertices, then by ascending vertices along the route.
 
-    Runs on an explicit stack and indexes ``adj`` only while it runs, so a
-    caller may change ``adj`` while the generator is suspended as long as
-    it restores it before resuming.
-
-    The walk restarts once per number of internal vertices, from the count
-    of breadth-first layers from u's neighbours in ``allowed`` to the first
-    that touches N(v): a route's i-th vertex lies in the first i layers, so
-    no route is shorter, and a lone long route is walked once.
+    The walk runs on an explicit stack and restarts once per number of
+    internal vertices, from the count of breadth-first layers from u's
+    neighbours in ``allowed`` to the first that touches N(v): a route's i-th
+    vertex lies in the first i layers, so no route is shorter, and a lone
+    long route is walked once.
     """
     allowed &= ~(1 << u | 1 << v)
     layer = reached = adj[u] & allowed

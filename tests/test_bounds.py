@@ -419,7 +419,8 @@ def _recursion_base_points(rng):
     """Seeded (kind, (m, x, t, d)): moderate points, points whose Delta_1
     range ends at or near _MAX_D, points whose ceil(delta) is at or next to
     _MAX_DELTA, and points whose t^2 is at or next to the top of the float
-    range (some of them invalid base points)."""
+    range (some of them invalid base points), and points whose bound is near the
+    top of the float range (about two in five overflow to an invalid base point)."""
     for _ in range(60):
         t = rng.randint(1, 60)
         yield "moderate", (t + rng.randint(0, 400), rng.randint(1, 400), t, rng.randint(1, 80))
@@ -437,23 +438,33 @@ def _recursion_base_points(rng):
         t = math.isqrt(2 ** 1024) + rng.randint(-(2 ** 460), 2 ** 460)
         x, k = rng.randint(1, 3), rng.randint(1, 6)
         yield "float-range", (k * t * t // (2 * x), x, t, rng.randint(1, 8))
+    for _ in range(8):
+        # t*t/(2x) from 10^305 to 2*10^307 and delta = 2xm/t^2 from 1 to 200: the
+        # product term times t*t/(2x) overflows a float at small D for some of them
+        x = rng.randint(1, 3)
+        t = math.isqrt(2 * x * rng.randint(10 ** 305, 2 * 10 ** 307))
+        yield "overflow", (rng.randint(1, 200) * t * t // (2 * x), x, t, rng.randint(1, 250))
 
 
 def test_g_recursion_check_inner_points_evaluate(monkeypatch):
-    # once the base point evaluates, g_bound evaluates at every (m - Delta_1, Delta_1)
-    # the peel-step loop visits; a fresh table, so its growth ends with the test
+    # g_recursion_check raises nothing; once the base point evaluates to a finite bound,
+    # g_bound evaluates to one at every (m - Delta_1, Delta_1) the peel-step loop visits,
+    # so no Delta_1 fails for being beyond the scale; a fresh table, so its growth ends
+    # with the test
     monkeypatch.setattr(bounds, "_log_ratio_prefix", bounds._log_ratio_prefix[:2])
-    valid = {"moderate": 0, "max-d": 0, "max-delta": 0, "float-range": 0}
+    valid = {"moderate": 0, "max-d": 0, "max-delta": 0, "float-range": 0, "overflow": 0}
     for kind, (m, x, t, d) in _recursion_base_points(random.Random("recursion-inner")):
+        check = g_recursion_check(m, x, t, d)
         try:
-            g_bound(m, x, t, d)
+            base = g_bound(m, x, t, d).log2_bound
         except ValueError:
+            assert check.failures[0].endswith("is invalid")
             continue
+        assert math.isfinite(base), (kind, m, x, t, d)
         valid[kind] += 1
         lo = max(1, -(-2 * x // t))
         for delta1 in range(lo, min(d, m - t) + 1):
-            g_bound(m - delta1, x, t, delta1)
-        g_recursion_check(m, x, t, d)
+            assert math.isfinite(g_bound(m - delta1, x, t, delta1).log2_bound)
     assert min(valid.values()) >= 3, valid
 
 
@@ -484,6 +495,7 @@ def test_g_bound_rejects_d_beyond_scale_before_the_scan():
     (case1_exponent, (3.0, 10 ** 400)),
     (g_bound, (10 ** 400, 1, 10 ** 400, 1)),
     (g_bound, (10 ** 160, 5 * 10 ** 159, 10 ** 160, 2)),  # t^2 = 10^320 leaves the float range
+    (g_bound, (13 * 10 ** 308, 1, math.isqrt(2 * 10 ** 307), 200)),  # the bound overflows to inf
 ])
 def test_integers_beyond_the_float_range_are_beyond_the_scale(evaluate, params):
     with pytest.raises(ValueError, match="overflows a float: beyond the evaluator's scale"):

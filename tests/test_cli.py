@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from clique_extremal import Graph, cli, matching_complement, read_graph6, save_graph, star_of_clique, write_edge_list
+from clique_extremal import Graph, cli, matching_complement, read_graph6, star_of_clique, write_edge_list, write_graph6
 from clique_extremal.cli import main
 from clique_extremal.limits import MAX_CONSTRUCT_N
 
@@ -21,7 +22,7 @@ def run(capsys, *argv):
 @pytest.fixture()
 def mc8_path(tmp_path):
     path = str(tmp_path / "mc8.g6")
-    save_graph(matching_complement(8), path, "graph6")
+    Path(path).write_text(write_graph6(matching_complement(8)) + "\n", encoding="ascii")
     return path
 
 
@@ -35,7 +36,7 @@ def test_count_both_methods(capsys, mc8_path):
 
 def test_count_human_output(capsys, tmp_path):
     path = str(tmp_path / "star.el")
-    save_graph(star_of_clique(10, 5), path, "edgelist")
+    Path(path).write_text(write_edge_list(star_of_clique(10, 5)), encoding="ascii")
     code, out, _ = run(capsys, "count", "--input", path)
     assert code == 0
     assert "64" in out
@@ -54,15 +55,14 @@ def test_sigma_and_params(capsys, mc8_path):
     assert data["min_tset_missing"] == 2
 
 
+EMBED_MC8 = ("embed", "--format", "graph6", "--lemma", "subdivision", "--terminals", "0,1,2,3")
+
+
 def test_embed_then_verify(capsys, tmp_path, mc8_path):
     cert_path = str(tmp_path / "cert.json")
-    code, _, _ = run(
-        capsys,
-        "embed", "--input", mc8_path, "--format", "graph6",
-        "--lemma", "subdivision", "--terminals", "0,1,2,3",
-        "--output", cert_path,
-    )
+    code, out, _ = run(capsys, *EMBED_MC8, "--input", mc8_path)
     assert code == 0
+    Path(cert_path).write_text(out, encoding="ascii")
     code, out, _ = run(
         capsys,
         "verify", "--input", mc8_path, "--format", "graph6", "--certificate", cert_path,
@@ -81,6 +81,17 @@ def test_embed_then_verify(capsys, tmp_path, mc8_path):
     )
     assert code == 1
     assert "INVALID" in out
+
+
+@pytest.mark.parametrize("flags", [("--output", "cert.json"), ("--json",)])
+def test_embed_reads_no_output_or_json_flag(capsys, tmp_path, monkeypatch, mc8_path, flags):
+    # embed prints its certificate to stdout and writes no file
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*EMBED_MC8, "--input", mc8_path, *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "cert.json").exists()
 
 
 def test_verify_rejects_a_non_integer_vertex(capsys, tmp_path):
@@ -112,7 +123,7 @@ def test_verify_rejects_a_deeply_nested_certificate(capsys, tmp_path, text):
 def test_verify_reads_its_default_mode_from_the_certificate_kind(capsys, tmp_path):
     # 0-2-1 passes through the terminal 2: a weak immersion that is not a strong one
     graph = tmp_path / "weak.el"
-    save_graph(Graph.from_edge_list(5, [(0, 2), (1, 2), (0, 3), (2, 3), (1, 4), (2, 4)]), str(graph), "edgelist")
+    graph.write_text(write_edge_list(Graph.from_edge_list(5, [(0, 2), (1, 2), (0, 3), (2, 3), (1, 4), (2, 4)])))
     cert = tmp_path / "weak.json"
     cert.write_text(json.dumps({"kind": "weak_immersion", "terminals": [0, 1, 2], "paths": [
         {"ends": [0, 1], "route": [0, 2, 1]},
@@ -131,8 +142,8 @@ def test_count_both_reports_a_mismatch(capsys, monkeypatch, mc8_path):
     real = cli.count_cliques_peeling
 
     def off_by_one(g):
-        stats, trace = real(g)
-        return replace(stats, count_including_empty=stats.count_including_empty + 1), trace
+        stats, picks = real(g)
+        return replace(stats, count_including_empty=stats.count_including_empty + 1), picks
 
     monkeypatch.setattr(cli, "count_cliques_peeling", off_by_one)
     code, out, err = run(capsys, "count", "--input", mc8_path, "--format", "graph6", "--method", "both")
@@ -146,7 +157,7 @@ def test_embed_precondition_failure_exit_code(capsys, tmp_path):
 
     g, terminals = immersion_tightness(10, 4)
     path = str(tmp_path / "tight.el")
-    save_graph(g, path, "edgelist")
+    Path(path).write_text(write_edge_list(g), encoding="ascii")
     code, _, err = run(
         capsys,
         "embed", "--input", path, "--lemma", "immersion",
@@ -328,8 +339,12 @@ def test_bounds_valid_edge_parameters_still_run(capsys):
 
 @pytest.mark.parametrize(
     "params",
-    [f"{_BIG},1,{_BIG},1", f"{10 ** 160},{5 * 10 ** 159},{10 ** 160},2"],
-    ids=["m-and-t-beyond", "t-squared-beyond"],
+    [
+        f"{_BIG},1,{_BIG},1",
+        f"{10 ** 160},{5 * 10 ** 159},{10 ** 160},2",
+        f"{13 * 10 ** 308},1,{math.isqrt(2 * 10 ** 307)},200",  # the bound overflows to inf
+    ],
+    ids=["m-and-t-beyond", "t-squared-beyond", "bound-overflows"],
 )
 def test_recursion_check_reports_a_base_point_beyond_the_float_range_as_invalid(capsys, params):
     code, out, err = run(capsys, "bounds", "--mode", "recursion-check", "--params", params, "--json")
@@ -359,7 +374,7 @@ def test_params_approx_beyond_guard(capsys, tmp_path):
     from clique_extremal import random_graph
 
     path = str(tmp_path / "big.el")
-    save_graph(random_graph(40, 0.9, 7), path, "edgelist")
+    Path(path).write_text(write_edge_list(random_graph(40, 0.9, 7)), encoding="ascii")
     code, _, _ = run(capsys, "params", "--input", path)
     assert code == 3  # exact mode refuses
     code, out, _ = run(capsys, "params", "--input", path, "--approx", "--t", "30", "--json")
@@ -376,7 +391,7 @@ def test_params_approx_lower_bound_matches_brute_scan(capsys, tmp_path):
     for k in range(1, 11):
         g = random_graph(60, k / 10, k)
         path = str(tmp_path / f"g{k}.el")
-        save_graph(g, path, "edgelist")
+        Path(path).write_text(write_edge_list(g), encoding="ascii")
         code, out, _ = run(capsys, "params", "--input", path, "--approx", "--json")
         assert code == 0
         scan = max(t for t in range(1, g.n + 1) if tset_missing_upper_estimate(g, t) <= g.n - t)
@@ -387,7 +402,7 @@ def test_guard_exceeded_exit_code(capsys, tmp_path):
     from clique_extremal import Graph
 
     path = str(tmp_path / "big.el")
-    save_graph(Graph.from_edge_list(20, [(0, 1)]), path, "edgelist")
+    Path(path).write_text(write_edge_list(Graph.from_edge_list(20, [(0, 1)])), encoding="ascii")
     code, _, err = run(capsys, "sigma", "--input", path)
     assert code == 3
     assert "limited to" in err
@@ -397,7 +412,7 @@ def test_limit_n_raises_the_guard_for_its_call(capsys, tmp_path):
     from clique_extremal import Graph
 
     path = str(tmp_path / "big.el")
-    save_graph(Graph.from_edge_list(16, []), path, "edgelist")
+    Path(path).write_text(write_edge_list(Graph.from_edge_list(16, [])), encoding="ascii")
     code, _, _ = run(capsys, "sigma", "--input", path)
     assert code == 3
     code, out, _ = run(capsys, "sigma", "--input", path, "--limit-n", "16", "--json")
@@ -410,7 +425,7 @@ def test_limit_n_with_the_peeling_counter_is_usage_error(capsys, tmp_path):
     from clique_extremal import Graph
 
     path = str(tmp_path / "small.el")
-    save_graph(Graph.from_edge_list(5, [(0, 1)]), path, "edgelist")
+    Path(path).write_text(write_edge_list(Graph.from_edge_list(5, [(0, 1)])), encoding="ascii")
     code, out, err = run(capsys, "count", "--input", path, "--method", "peeling", "--limit-n", "5")
     assert code == 2
     assert out == "" and "--limit-n is not read by --method peeling" in err
@@ -423,7 +438,7 @@ def test_negative_guard_is_a_usage_error(capsys, tmp_path):
     from clique_extremal import Graph
 
     path = str(tmp_path / "small.el")
-    save_graph(Graph.from_edge_list(5, [(0, 1)]), path, "edgelist")
+    Path(path).write_text(write_edge_list(Graph.from_edge_list(5, [(0, 1)])), encoding="ascii")
     for argv in (("sigma",), ("params",), ("count",), ("count", "--method", "peeling")):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--input", path, "--limit-n", "-1"])

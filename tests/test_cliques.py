@@ -18,11 +18,7 @@ from clique_extremal import (
     star_of_clique,
 )
 
-from clique_extremal.cliques import (
-    STOP_EXHAUSTED,
-    CliqueStats,
-    PeelingTrace,
-)
+from clique_extremal.cliques import CliqueStats
 from clique_extremal.graph import iter_bits, reach
 from clique_extremal.limits import ORACLE_MAX_N, check_guard
 
@@ -32,7 +28,7 @@ from conftest import brute_count_cliques, complete_graph, cycle_graph
 # The recursive counters as they were before both moved onto explicit stacks,
 # kept verbatim (only renamed) as references for the stack versions; the
 # peeling reference picks with reference_min_degree_vertex (below), not with
-# the module's own pick, so its trace checks the depth-0 picks.
+# the module's own pick, so its pick order checks the depth-0 picks.
 
 
 def reference_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
@@ -79,11 +75,11 @@ def reference_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
     return CliqueStats(count, count - 1, alpha)
 
 
-def reference_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
+def reference_peeling(g: Graph) -> tuple[CliqueStats, tuple[int, ...]]:
     """Peeling enumeration: repeatedly pick a minimum degree vertex (lowest
     index on ties), count the cliques containing it inside its
-    neighbourhood, then delete it. The trace records the outer loop; it runs
-    to exhaustion, so its stop reason is always clique-exhausted."""
+    neighbourhood, then delete it. Returns the counts and the outer loop's
+    picks in order."""
     n = g.n
     adj = tuple(g.adjacency_mask(v) for v in range(n))
     omega = 0
@@ -109,26 +105,14 @@ def reference_peeling(g: Graph) -> tuple[CliqueStats, PeelingTrace]:
         return total
 
     picked: list[int] = []
-    sizes = [n]
-    missing_degrees: list[int] = []
     total = 1
     residual = g.full_mask
     while residual:
-        size = residual.bit_count()
-        v, d = reference_min_degree_vertex(adj, residual)
+        v, _ = reference_min_degree_vertex(adj, residual)
         picked.append(v)
-        missing_degrees.append(size - 1 - d)
         total += count_within(adj[v] & residual, 1)
         residual &= ~(1 << v)
-        sizes.append(size - 1)
-    trace = PeelingTrace(
-        picked=tuple(picked),
-        sizes=tuple(sizes),
-        missing_degrees=tuple(missing_degrees),
-        stop_reason=STOP_EXHAUSTED,
-        stop_index=len(sizes) - 1,
-    )
-    return CliqueStats(total, total - 1, omega), trace
+    return CliqueStats(total, total - 1, omega), tuple(picked)
 
 
 @settings(max_examples=300, deadline=None)
@@ -232,8 +216,8 @@ def test_matching_complement_check_counts_with_the_peeling_counter(monkeypatch, 
     real = suite.count_cliques_peeling
 
     def off_by_one(g):
-        stats, trace = real(g)
-        return replace(stats, count_including_empty=stats.count_including_empty + 1), trace
+        stats, picks = real(g)
+        return replace(stats, count_including_empty=stats.count_including_empty + 1), picks
 
     monkeypatch.setattr(suite, "count_cliques_peeling", off_by_one)
     name, passed, _, data = suite.check_matching_complement_counts(0, quick)
@@ -264,9 +248,9 @@ def test_counts_on_empty_vertex_set():
     g = Graph.from_edge_list(0, [])
     assert count_cliques_oracle(g).count_including_empty == 1
     assert count_cliques_oracle(g).clique_number == 0
-    stats, trace = count_cliques_peeling(g)
+    stats, picks = count_cliques_peeling(g)
     assert stats.count_including_empty == 1
-    assert trace.sizes == (0,)
+    assert picks == ()
 
 
 def test_stats_invariants():
@@ -329,14 +313,11 @@ def test_adding_edge_never_decreases_count():
 def test_peeling_trace_well_formed():
     for seed in range(10):
         g = random_graph(12, 0.5, seed)
-        _, trace = count_cliques_peeling(g)
-        assert trace.sizes[0] == g.n
-        assert all(a > b for a, b in zip(trace.sizes, trace.sizes[1:]))
-        assert len(trace.picked) == len(trace.sizes) - 1
-        assert trace.stop_reason == "clique-exhausted"
+        _, picks = count_cliques_peeling(g)
+        assert sorted(picks) == list(range(g.n))
         # each pick has minimum degree in its residual graph
         residual = set(range(g.n))
-        for v in trace.picked:
+        for v in picks:
             degs = {u: sum(1 for w in residual if w != u and g.has_edge(u, w)) for u in residual}
             assert degs[v] == min(degs.values())
             residual.remove(v)
