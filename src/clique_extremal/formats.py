@@ -3,6 +3,8 @@
 Edge-list format: first line ``n m``, then m lines ``u v`` with 0-based
 whitespace-separated endpoints; lines starting with ``#`` are ignored; n is
 capped by ``limits.MAX_PARSE_N``, checked before anything is allocated.
+Text as ``write_edge_list`` emits it is checked and split in one pass; other
+text is cut to its kept lines first. What that pass refuses is read per line.
 
 graph6 is the standard ASCII encoding (6 bits per character, offset 63,
 N(n) size prefix, upper-triangle bits in column order). Reader and writer
@@ -37,12 +39,18 @@ _BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
 _GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 # binary digit characters -> 0/1 selector bytes for itertools.compress
 _PICKS = bytes.maketrans(b"01", b"\x00\x01")
-# edge lines parsed per chunk, which bounds the token lists of one pass
-_CHUNK = 4096
+# characters of an edge list split at once, which bounds the token list of one pass
+_CHUNK = 1 << 16
 
 
 def read_edge_list(text: str) -> Graph:
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+    if (g := _edge_graph(text)) is not None:
+        return g
+    # the kept lines, each ended by a newline: in the form written if they can be
+    text = "\n".join([ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"] + [""])
+    if (g := _edge_graph(text)) is not None:
+        return g
+    lines = text.splitlines()
     if not lines:
         raise FormatError("edge-list input is empty")
     head = lines[0].split()
@@ -56,9 +64,6 @@ def read_edge_list(text: str) -> Graph:
         raise FormatError(f"header announces n = {n} vertices; edge lists are limited to n <= {MAX_PARSE_N}")
     if len(lines) - 1 != m:
         raise FormatError(f"header announces {m} edges but {len(lines) - 1} edge lines follow")
-    rows = _edge_rows(n, lines)
-    if rows is not None:
-        return Graph(n, rows)
     # the per-line rule names the first bad line, then the first bad pair
     edges = [_edge_line(ln) for ln in lines[1:]]
     try:
@@ -77,33 +82,39 @@ def _edge_line(ln: str) -> tuple[int, int]:
         raise FormatError(f"non-integer endpoint in {ln!r}") from exc
 
 
-def _edge_rows(n: int, lines: list[str]) -> list[int] | None:
-    """Adjacency rows of the edge lines ``lines[1:]``, read a chunk at a
-    time, or None unless every line is ``"u v"``: one space between the
-    plain decimal names of two distinct vertices. Scratch memory is
-    O(n + m); the name table has at most 2m entries, and a vertex beyond
-    it sends the input to the per-line rule."""
-    if n < 0:
+def _edge_graph(text: str) -> Graph | None:
+    """The graph of ``text`` in the form written, else None: a header ``n m`` with n <=
+    MAX_PARSE_N, then m lines ``u v`` naming two distinct vertices in plain decimal, one
+    space apart, each line ended by a newline. Scratch memory is O(n + len(text)), whatever
+    m is; the name table has at most 2m entries, and a vertex beyond it is refused."""
+    head = text.partition("\n")[0]
+    # digit runs short enough for int()
+    if not (text.isascii() and len(parts := head.split(" ")) == 2 and all(map(str.isdigit, parts)) and len(head) < 40):
         return None
-    index = {str(v): v for v in range(min(n, 2 * (len(lines) - 1)))}
+    n, m = int(parts[0]), int(parts[1])
+    shape = text.encode().translate(None, b"0123456789")  # b" \n" per line in the form written
+    if n > MAX_PARSE_N or len(shape) != 2 * m + 2 or shape.count(b" \n") != m + 1:
+        return None
+    index = {str(v): v for v in range(min(n, 2 * m))}
     rows = [0] * n
-    for start in range(1, len(lines), _CHUNK):
-        chunk = lines[start : start + _CHUNK]
+    start = len(head) + 1
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk, start = text[start:end], end
         # one split per chunk, not a tuple or list per line, which the
         # cyclic garbage collector would have to scan
         try:
-            ends = list(map(index.__getitem__, " ".join(chunk).split(" ")))
+            ends = list(map(index.__getitem__, chunk.split()))
         except KeyError:
             return None
         us, vs = ends[0::2], ends[1::2]
-        # every token is a name, so 2 per line on average and no line that
-        # is a lone name means 2 on each line
-        if len(ends) != 2 * len(chunk) or any(map(index.__contains__, chunk)) or any(map(eq, us, vs)):
+        # each line holds one space, so 2 names per line means none is empty
+        if len(ends) != 2 * chunk.count("\n") or any(map(eq, us, vs)):
             return None
         for u, v in zip(us, vs):
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    return rows
+    return Graph(n, rows)
 
 
 def write_edge_list(g: Graph) -> str:
@@ -179,9 +190,8 @@ def read_graph6(text: str) -> Graph:
     digits = body.encode("ascii").translate(_GRAPH6_TO_BASE64)
     digits += b"A" * (-len(digits) % 4)
     bits = format(int.from_bytes(a2b_base64(digits), "big"), f"0{6 * len(digits)}b")
-    below = [bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n)]
-    above = ["".join(column) for column in zip(*below)]
-    return Graph(n, (int(lo[::-1], 2) | int(hi[::-1], 2) for lo, hi in zip(below, above)))
+    below = "".join(bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n))
+    return Graph(n, (int(below[j * n : (j + 1) * n][::-1], 2) | int(below[j::n][::-1], 2) for j in range(n)))
 
 
 # readers are called by name, not from a table, so that rebinding them works

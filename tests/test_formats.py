@@ -18,7 +18,7 @@ from clique_extremal import (
     write_graph6,
 )
 from clique_extremal.cli import main
-from clique_extremal.formats import _encode_size
+from clique_extremal.formats import _CHUNK, _encode_size
 from clique_extremal.limits import MAX_PARSE_N
 
 from conftest import complete_graph
@@ -109,7 +109,37 @@ _ODD_TOKENS = ["0", "1", "2", "3", "4", "5", "-1", "07", "00", "+2", "1_0", "x",
 _SEPARATORS = [" ", "  ", "\t", " \t", "\x1f"]
 
 
+# one defect each, planted in text otherwise in the form write_edge_list
+# emits: a leading zero, a loop, a vertex beyond n, a sign, whitespace the
+# per-line rule reads, a lone name (also beside the space), three names, a
+# comment, a blank line and a non-ASCII digit
+_WRITTEN_DEFECTS = [
+    "07 3", "3 3", "0 12", "+2 1", "1\t2", "1  2", "1 2 ", "4", " 4", "4 ", "1 2 3", "# c", "", "\u0661 1"
+]
+
+
+def _written_edge_list(rng: random.Random) -> str:
+    n = rng.choice((0, 1, 3, 5, 12))
+    lines = [f"{u} {v}" for u, v in (rng.sample(range(n), 2) for _ in range(rng.randrange(6) if n > 1 else 0))]
+    m = len(lines)
+    kind = rng.randrange(8)
+    if kind == 1 and lines:
+        lines[rng.randrange(m)] = rng.choice(_WRITTEN_DEFECTS)
+    elif kind == 2:
+        lines.insert(rng.randrange(m + 1), rng.choice(_WRITTEN_DEFECTS))
+    elif kind == 3:
+        m += rng.choice((1, -1))
+    text = "".join(f"{ln}\n" for ln in [f"{n} {m}", *lines])
+    if kind == 4:
+        return text.replace("\n", "\r\n")
+    if kind == 5:
+        return text[:-1]
+    return f"0{text}" if kind == 6 else text
+
+
 def _malformed_edge_list(rng: random.Random) -> str:
+    if rng.random() < 0.5:
+        return _written_edge_list(rng)
     lines = []
     for _ in range(rng.randrange(6)):
         kind = rng.random()
@@ -138,21 +168,50 @@ def test_edge_list_reader_matches_the_per_line_reference():
 
 
 def test_edge_list_reader_matches_the_reference_across_chunks():
-    # about 4,300 edge lines, more than one parsing chunk, with defects
-    # planted on either side of the chunk boundary
+    # about 16,800 edge lines in two parsing chunks, with defects planted on
+    # either side of the chunk cut and of line 4096
     rng = random.Random(7)
-    defects = ["3 3", "131 1", "1\t2", "2 1", "07 3", "4", "4 5 6", "0 -1", "0 130", "# c", ""]
+    defects = ["3 3", "260 1", "1\t2", "2 1", "07 3", "4", "4 5 6", "0 -1", "0 259", "# c", ""]
     for trial in range(12):
-        g = random_graph(131, 0.5, trial)
-        lines = write_edge_list(g).splitlines()
+        g = random_graph(260, 0.5, trial)
+        written = write_edge_list(g)
+        lines = written.splitlines()
+        # lines[cut] holds character _CHUNK of the edge lines, so it ends the first chunk
+        cut = written.partition("\n")[2].count("\n", 0, _CHUNK) + 1
         for _ in range(trial % 3):
-            lines[rng.choice((rng.randrange(1, len(lines)), 4096, 4097))] = rng.choice(defects)
+            lines[rng.choice((rng.randrange(1, len(lines)), 4096, 4097, cut, cut + 1))] = rng.choice(defects)
         m = sum(1 for ln in lines[1:] if ln.strip() and not ln.startswith("#"))
-        text = "\n".join([f"131 {m}", *lines[1:]]) + "\n"
+        text = "\n".join([f"260 {m}", *lines[1:]]) + "\n"
         want = _read_outcome(reference_read_edge_list, text)
         assert _read_outcome(read_edge_list, text) == want
         if trial % 3 == 0:
-            assert want == ("graph", 131, g.rows)
+            assert want == ("graph", 260, g.rows)
+
+
+def test_written_form_checks_the_edge_count_before_building_anything():
+    tracemalloc.start()
+    try:
+        got = _read_outcome(read_edge_list, "3 1000000000000\n0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ("error", "header announces 1000000000000 edges but 1 edge lines follow")
+    assert peak < 2**20
+    # no final newline, and CRLF endings: read through the line filter
+    for text in "3 1\n0 1", "3 1\r\n0 1\r\n":
+        want = _read_outcome(reference_read_edge_list, text)
+        assert _read_outcome(read_edge_list, text) == want == ("graph", 3, (2, 1, 0))
+
+
+def test_edge_list_reader_peak_memory_is_near_its_input():
+    text = write_edge_list(random_graph(800, 0.5, 1))
+    tracemalloc.start()
+    try:
+        read_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
 
 
 def test_huge_edgeless_header_allocates_only_its_rows():
