@@ -1,8 +1,8 @@
 """Exact clique counting.
 
 Two independent counters are provided. ``count_cliques_peeling`` follows the
-minimum-degree peeling process: pick a minimum degree vertex, enumerate the
-cliques through its neighbourhood, delete it, repeat.
+minimum-degree peeling process: pick a minimum degree vertex, delete it,
+repeat, then count each clique in the later neighbourhood of its first pick.
 ``count_cliques_oracle`` is the cross-check: it counts independent sets of
 the complement graph by branching on a maximum-degree vertex, with component
 splitting, which shares no traversal logic with the peeling route.
@@ -90,39 +90,35 @@ def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
 
 def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, tuple[int, ...]]:
     """Peeling enumeration: repeatedly pick a minimum degree vertex (lowest
-    index on ties), count the cliques containing it inside its
-    neighbourhood, then delete it. Returns the counts and the top-level
-    picks in order.
+    index on ties) and delete it; every clique lies in the later
+    neighbourhood of its first-picked vertex, so the cliques are counted
+    there. Returns the counts and the top-level picks in order.
 
-    The top level takes its picks from a degree-bucket queue (the
-    smallest-last order of Matula and Beck): ``buckets[d]`` is the bitmask
-    of residual vertices of degree d, and a pick is the lowest vertex of the
-    lowest non-empty bucket. Deleting v moves each residual neighbour down
-    one bucket, so the next minimum is at least d(v) - 1 and the scan
-    pointer steps back by at most one. The top level thus costs O(n + m) bit
-    moves, and its scratch memory is one n-bit mask per distinct residual
-    degree plus a list of n degrees.
+    The first loop only orders. It takes its picks from a degree-bucket
+    queue (the smallest-last order of Matula and Beck): ``buckets[d]`` is
+    the bitmask of residual vertices of degree d, and a pick is the lowest
+    vertex of the lowest non-empty bucket. Deleting v moves each residual
+    neighbour down one bucket, so the next minimum is at least d(v) - 1 and
+    the scan pointer steps back by at most one. The order thus costs
+    O(n + m) bit moves, and its scratch memory is one n-bit mask per
+    distinct residual degree plus a list of n degrees. Each pick with a
+    non-empty later neighbourhood N(v) & residual pushes it at depth 1, so
+    the seeded stack holds at most one entry per pick, each no larger than
+    its row.
 
-    Each pick then counts its subtree on an explicit stack of non-empty
-    (residual, depth) entries, starting from N(v) & residual at depth 1,
-    before the next pick. An entry picks a minimum degree vertex (lowest
-    index on ties) by an inline scan of its residual, counts the clique it
-    closes, then pushes the rest of its level and above it the child
-    N(v) & residual, one level deeper, so the stack holds one entry per
-    level. A residual that is a clique adds all its non-empty
-    subsets. The picks below the top level do not change the count, so a
-    residual of at most three vertices closes without a pick by its edge
-    count e: it adds its vertices and edges, plus the triangle when e = 3,
-    and its clique number is 1 for e = 0, 2 for e = 1 or 2, and 3 for
-    e = 3."""
+    The second loop counts on that one stack of non-empty (residual, depth)
+    entries. An entry finds a minimum degree vertex u (lowest index on
+    ties) by an inline scan of its residual and closes in one of two ways:
+    a residual that is a clique adds all its non-empty subsets; otherwise u
+    closes one clique and the entry pushes the rest of its residual and
+    above it the child N(u) & residual, one level deeper."""
     adj = g.rows
     degree = [row.bit_count() for row in adj]
     buckets = [0] * g.n
     for v, d in enumerate(degree):
         buckets[d] |= 1 << v
     picked: list[int] = []
-    total = 1 + g.n  # each top-level pick closes its one-vertex clique
-    omega = 1 if g.n else 0
+    stack: list[tuple[int, int]] = []
     alive = g.full_mask
     min_d = 0
     for _ in range(g.n):
@@ -136,8 +132,8 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, tuple[int, ...]]:
         picked.append(v)
         if not min_d:
             continue
-        child = adj[v] & alive
-        rest = child
+        rest = adj[v] & alive
+        stack.append((rest, 1))
         while rest:
             low = rest & -rest
             rest ^= low
@@ -147,40 +143,28 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, tuple[int, ...]]:
             buckets[d] ^= low
             buckets[d - 1] |= low
         min_d -= 1
-        stack = [(child, 1)]
-        while stack:
-            residual, depth = stack.pop()
-            size = residual.bit_count()
-            if size <= 3:  # closes by its edge count e
-                low = residual & -residual
-                rest = residual ^ low
-                e = (adj[low.bit_length() - 1] & rest).bit_count()
-                if size == 3 and adj[(rest & -rest).bit_length() - 1] & rest:
-                    e += 1
-                total += size + e + (e == 3)
-                depth += 1 + (e > 0) + (e == 3)
-                if depth > omega:
-                    omega = depth
-                continue
-            d = size
-            rest = residual
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                w = low.bit_length() - 1
-                dw = (adj[w] & residual).bit_count()
-                if dw < d:
-                    u, d = w, dw
-            if d == size - 1:
-                total += (1 << size) - 1
-                if depth + size > omega:
-                    omega = depth + size
-                continue
-            total += 1
-            if depth >= omega:
-                omega = depth + 1
-            stack.append((residual & ~(1 << u), depth))
-            if d:
-                stack.append((adj[u] & residual, depth + 1))
+    total = 1 + g.n  # each pick closes its one-vertex clique
+    omega = 1 if g.n else 0
+    while stack:
+        residual, depth = stack.pop()
+        size = d = residual.bit_count()
+        rest = residual
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            dw = (adj[w] & residual).bit_count()
+            if dw < d:
+                u, d = w, dw
+        if d == size - 1:
+            total += (1 << size) - 1
+            if depth + size > omega:
+                omega = depth + size
+            continue
+        total += 1
+        if depth >= omega:
+            omega = depth + 1
+        stack.append((residual & ~(1 << u), depth))
+        if d:
+            stack.append((adj[u] & residual, depth + 1))
     return CliqueStats(total, total - 1, omega), tuple(picked)
-

@@ -17,6 +17,7 @@ row, so a vertex with d edges costs d copies of a row of up to n bits.
 from __future__ import annotations
 
 from binascii import a2b_base64, b2a_base64
+from collections.abc import Iterator
 from itertools import compress
 from operator import eq
 
@@ -39,15 +40,19 @@ _BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
 _GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 # binary digit characters -> 0/1 selector bytes for itertools.compress
 _PICKS = bytes.maketrans(b"01", b"\x00\x01")
-# characters of an edge list split at once, which bounds the token list of one pass
+# characters of an edge list split or filtered at once, which bounds the lists of one pass
 _CHUNK = 1 << 16
 
 
 def read_edge_list(text: str) -> Graph:
     if (g := _edge_graph(text)) is not None:
         return g
-    # the kept lines, each ended by a newline: in the form written if they can be
-    text = "\n".join([ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"] + [""])
+    # the kept lines, each ended by a newline: in the form written if they can be.
+    # Filtered a chunk at a time, so no list of every line is built
+    text = "".join(
+        "\n".join([ln for ln in map(str.strip, chunk.splitlines()) if ln and ln[0] != "#"] + [""])
+        for chunk in _chunks(text, 0)
+    )
     if (g := _edge_graph(text)) is not None:
         return g
     lines = text.splitlines()
@@ -70,6 +75,14 @@ def read_edge_list(text: str) -> Graph:
         return Graph.from_edge_list(n, edges)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _chunks(text: str, start: int) -> Iterator[str]:
+    """``text[start:]`` in pieces of about ``_CHUNK`` characters, each cut after a newline."""
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def _edge_line(ln: str) -> tuple[int, int]:
@@ -97,10 +110,7 @@ def _edge_graph(text: str) -> Graph | None:
         return None
     index = {str(v): v for v in range(min(n, 2 * m))}
     rows = [0] * n
-    start = len(head) + 1
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        chunk, start = text[start:end], end
+    for chunk in _chunks(text, len(head) + 1):
         # one split per chunk, not a tuple or list per line, which the
         # cyclic garbage collector would have to scan
         try:

@@ -209,10 +209,8 @@ def t_param(g: Graph, limit_n: int | None = None) -> ParamReport:
     so it is the same.
     """
     n = g.n
-    if n == 0:
-        raise ValueError("t_param is undefined on the empty graph")
+    t = t_param_lower_estimate(g)  # raises on the empty graph
     check_guard("t_param", n, SUBSET_MAX_N, limit_n)
-    t = t_param_lower_estimate(g)
     _, witness = min_tset_missing(g, t, limit_n=limit_n, stop_at=n - t)
     while t < n:
         value, larger = min_tset_missing(g, t + 1, limit_n=limit_n, stop_at=n - t - 1)

@@ -196,18 +196,13 @@ def check_sigma_sandwich(seed: int, quick: bool) -> tuple[str, bool, str, dict]:
     instances = 60 if quick else 300
     sandwich_bad = 0
     threshold_bad = 0
-    # floors, since the integer Delta is above a threshold iff it is above its floor
-    thresholds: dict[tuple[int, int], int] = {}
     for g in _random_graphs(seed, "sigma-sandwich", instances, 12):
         sigma = sigma_exhaustive(g)
         rep = t_param(g)
         if not rep.t_param - rep.delta <= sigma <= rep.t_param:
             sandwich_bad += 1
         for t in range(sigma + 1, g.n + 1):
-            threshold = thresholds.get((g.n, t))
-            if threshold is None:
-                threshold = thresholds[g.n, t] = math.floor(delta_threshold_no_subdivision(g.n, t))
-            if not rep.delta > threshold:
+            if not rep.delta > delta_threshold_no_subdivision(g.n, t):
                 threshold_bad += 1
     data = {
         "instances": instances,

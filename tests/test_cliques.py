@@ -225,6 +225,14 @@ def test_matching_complement_check_counts_with_the_peeling_counter(monkeypatch, 
     assert data["failures"] == [[n, "peeling", 3 ** (n // 2) + 1] for n in range(2, 17, 2)]
 
 
+def test_sigma_sandwich_check_counts_threshold_violations(monkeypatch):
+    # Delta <= n - 1 < n, so a threshold of n is violated at every t above sigma
+    monkeypatch.setattr(suite, "delta_threshold_no_subdivision", lambda n, t: n)
+    name, passed, _, data = suite.check_sigma_sandwich(0, True)
+    assert name == "sigma-sandwich" and not passed
+    assert data["sandwich_violations"] == 0 and data["threshold_violations"] > 0
+
+
 def test_oracle_known_values():
     assert count_cliques_oracle(complete_graph(4)).count_including_empty == 16
     assert count_cliques_oracle(complete_graph(4)).clique_number == 4
@@ -277,8 +285,9 @@ def test_peeling_matches_oracle():
 
 
 def test_peeling_matches_oracle_on_every_graph_up_to_5_vertices():
-    # every edge set on at most 5 vertices, 2^10 of them at n = 5: residuals
-    # of up to three vertices, which close by their edge count, meet every e
+    # every edge set on at most 5 vertices, 2^10 of them at n = 5: the small
+    # residuals meet both closings, the clique one and the general pick,
+    # with every edge count
     for n in range(6):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for edges in range(1 << len(pairs)):

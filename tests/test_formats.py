@@ -214,6 +214,30 @@ def test_edge_list_reader_peak_memory_is_near_its_input():
     assert peak <= 3 * len(text)
 
 
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: "# a comment\n" + text,
+        lambda text: text[:-1],
+    ],
+    ids=["crlf", "leading-comment", "no-final-newline"],
+)
+def test_filtered_edge_list_peak_memory_is_near_its_input(rewrite):
+    # text not in the written form is cut to its kept lines one chunk at a
+    # time, so no list of every line exists at once
+    g = random_graph(800, 0.5, 1)
+    text = rewrite(write_edge_list(g))
+    tracemalloc.start()
+    try:
+        got = read_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == g
+    assert peak <= 3.5 * len(text)
+
+
 def test_huge_edgeless_header_allocates_only_its_rows():
     tracemalloc.start()
     try:
