@@ -103,14 +103,39 @@ def immersion_tightness(n: int, t: int) -> tuple[Graph, frozenset[int]]:
     return Graph(n, (row & ~(1 << v) for v, row in enumerate(rows))), frozenset(range(t))
 
 
+# random_graph draws in bulk from this many vertices on: below it the
+# per-pair loop is faster, and the suite's draws (n <= 20) stay there
+_BULK_N = 32
+# pairs drawn at once on the bulk path: two 32-bit words, 8 bytes, a pair
+_BULK_PAIRS = 1 << 15
+
+
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi sample G(n, p), deterministic for a fixed seed: one draw
-    per pair, u ascending, then v > u ascending."""
+    ``random.Random(seed).random() < p`` per pair, u ascending, then v > u
+    ascending. A negative seed is refused, as ``random.Random`` would seed
+    it as its absolute value.
+
+    Below ``_BULK_N`` = 32 vertices, where the bulk path stops losing at
+    p >= 0.37, the draws are made one by one. From it on they come in
+    bulk, with the same outcome: ``random()`` is
+    (a * 2^26 + b) / 2^53 with a = w0 >> 5 and b = w1 >> 6 of the next two
+    32-bit Mersenne Twister words, and ``getrandbits(64 k)`` returns the
+    next 2k words, the first one lowest, so one call covers k pairs.
+    Besides the n rows it builds, the bulk path holds 1.5 n^2 bytes of
+    digits (one per pair, then one per cell of an n x n square) and
+    ``_BULK_PAIRS`` pairs' words at a time: about 6 MB at n = 2,000.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    draw = random.Random(seed).random
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    rng = random.Random(seed)
     if n < 0:
         raise ValueError("vertex count must be non-negative")
+    if n >= _BULK_N:
+        return Graph(n, _bulk_rows(n, p, rng))
+    draw = rng.random
     bit = [1 << v for v in range(n)]
     rows = [0] * n
     for u in range(n):
@@ -121,3 +146,41 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
                 rows[v] |= bit[u]
         rows[u] |= upper
     return Graph(n, rows)
+
+
+def _bulk_rows(n: int, p: float, rng: random.Random) -> list[int]:
+    """The rows of ``random_graph`` on n vertices from the draws of ``rng``.
+
+    Each pair becomes one digit, ``b"1"`` for an edge. A draw lies in
+    [t/256, (t+1)/256) for the top byte t of its first word, so a table on
+    t decides every pair but those whose t straddles p (at most one byte
+    value); those take ``random()``'s own expression. Reversed, the digits
+    are graph6's column order for the graph H with vertex v renamed
+    n - 1 - v. Each column padded to n digits is a row of a square whose
+    row j and column j together hold H's row j, digit i for vertex i; read
+    as binary numbers, first digit highest, they give row n - 1 - j of the
+    graph itself with no OR per edge.
+    """
+    scaled = 256 * p
+    ones = int(scaled)
+    straddles = int(scaled != ones)
+    table = b"1" * ones + b"?" * straddles + b"0" * (256 - ones - straddles)
+    pairs = n * (n - 1) // 2
+    digits = bytearray(pairs)
+    for start in range(0, pairs, _BULK_PAIRS):
+        stop = min(start + _BULK_PAIRS, pairs)
+        words = rng.getrandbits(64 * (stop - start)).to_bytes(8 * (stop - start), "little")
+        digits[start:stop] = words[3::8].translate(table)
+        i = digits.find(b"?", start, stop)
+        while i >= 0:
+            w = 8 * (i - start)
+            a = int.from_bytes(words[w : w + 4], "little") >> 5
+            b = int.from_bytes(words[w + 4 : w + 8], "little") >> 6
+            digits[i : i + 1] = b"1" if (a * 67108864.0 + b) * (1.0 / 9007199254740992.0) < p else b"0"
+            i = digits.find(b"?", i + 1, stop)
+    digits.reverse()
+    square = bytearray(b"0") * (n * n)
+    for j in range(1, n):
+        square[j * n : j * n + j] = digits[j * (j - 1) // 2 : j * (j + 1) // 2]
+    del digits
+    return [int(square[j * n : (j + 1) * n], 2) | int(square[j::n], 2) for j in range(n - 1, -1, -1)]

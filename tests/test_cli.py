@@ -235,6 +235,15 @@ def test_construct_random_seed_is_zero_when_absent(capsys):
     assert out == run(capsys, "construct", "--family", "random", "--n", "9", "--p", "0.5", "--seed", "0")[1]
 
 
+def test_construct_random_negative_seed_is_a_usage_error(capsys):
+    # random.Random would seed -3 as 3 and print the --seed 3 graph
+    for n in ("6", "800"):
+        code, out, err = run(capsys, "construct", "--family", "random", "--n", n, "--p", "0.5", "--seed", "-3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be non-negative, got -3\n"
+
+
 def test_construct_beyond_its_cap_is_a_usage_error(capsys):
     code, out, err = run(capsys, "construct", "--family", "matching", "--n", str(MAX_CONSTRUCT_N + 1))
     assert code == 2

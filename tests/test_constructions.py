@@ -1,4 +1,7 @@
+import math
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +15,7 @@ from clique_extremal import (
     sigma_exhaustive,
     star_of_clique,
 )
-from clique_extremal.constructions import _matching_block_size
+from clique_extremal.constructions import _BULK_N, _matching_block_size
 
 from conftest import complete_graph
 
@@ -198,6 +201,10 @@ def test_random_graph_extremes_and_determinism():
     assert random_graph(12, 0.37, 99) != random_graph(12, 0.37, 100)
     with pytest.raises(ValueError):
         random_graph(5, 1.5, 0)
+    # random.Random would seed -3 as 3
+    for n in (6, _BULK_N):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+            random_graph(n, 0.5, -3)
 
 
 def reference_random_graph(n: int, p: float, seed: int) -> Graph:
@@ -209,12 +216,37 @@ def reference_random_graph(n: int, p: float, seed: int) -> Graph:
 
 
 def test_random_graph_draws_in_the_reference_order():
-    for n in range(41):
-        for p in (0.0, 0.04, 0.37, 0.5, 1.0):
-            for seed in (0, 1, 7, 2**31 - 1):
-                g = random_graph(n, p, seed)
-                assert (g.n, g.rows) == (n, reference_random_graph(n, p, seed).rows), (n, p, seed)
+    grids = [
+        (range(41), (0.0, 0.04, 0.37, 0.5, 1.0)),
+        # on both sides of the switch to bulk draws and beyond it, at p off the
+        # 1/256 grid (so that random()'s own expression decides some pairs),
+        # an int p and a Fraction p
+        ((_BULK_N - 1, _BULK_N, 64, 200), (0.37, 1 / 3, 2**-9, 1 - 2**-30, 1, Fraction(1, 3))),
+    ]
+    for sizes, densities in grids:
+        for n in sizes:
+            for p in densities:
+                for seed in (0, 1, 7, 2**31 - 1):
+                    g = random_graph(n, p, seed)
+                    assert (g.n, g.rows) == (n, reference_random_graph(n, p, seed).rows), (n, p, seed)
     assert random_graph(800, 0.5, 11) == reference_random_graph(800, 0.5, 11)
+    # p equal to the 500th draw and to the next float above it: only the low
+    # bits of random()'s expression decide that pair
+    draw = random.Random(7).random
+    x = [draw() for _ in range(500)][-1]
+    for p in (x, math.nextafter(x, 1.0)):
+        assert random_graph(64, p, 7) == reference_random_graph(64, p, 7), p
+
+
+def test_random_graph_bulk_scratch_memory_is_bounded():
+    n = 2000
+    tracemalloc.start()
+    try:
+        random_graph(n, 0.5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * n
 
 
 def test_random_graph_edge_sizes():
