@@ -111,7 +111,12 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, tuple[int, ...]]:
     ties) by an inline scan of its residual and closes in one of two ways:
     a residual that is a clique adds all its non-empty subsets; otherwise u
     closes one clique and the entry pushes the rest of its residual and
-    above it the child N(u) & residual, one level deeper."""
+    above it the child N(u) & residual, one level deeper.
+
+    The clique number comes from clique residuals alone: by induction on
+    |R|, an entry (R, k) that is not a clique pushes the non-empty
+    (R - u, k), so every entry at depth k ends in a clique residual at
+    depth k, which sets omega >= k + 1."""
     adj = g.rows
     degree = [row.bit_count() for row in adj]
     buckets = [0] * g.n
@@ -162,8 +167,6 @@ def count_cliques_peeling(g: Graph) -> tuple[CliqueStats, tuple[int, ...]]:
                 omega = depth + size
             continue
         total += 1
-        if depth >= omega:
-            omega = depth + 1
         stack.append((residual & ~(1 << u), depth))
         if d:
             stack.append((adj[u] & residual, depth + 1))

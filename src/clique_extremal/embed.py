@@ -27,8 +27,6 @@ __all__ = [
     "verify_subdivision",
     "sigma_exhaustive",
     "has_immersion_with_ends",
-    "certificate_to_dict",
-    "certificate_from_dict",
     "certificate_dumps",
     "certificate_loads",
 ]
@@ -135,6 +133,12 @@ def _check_paths(g: Graph, cert: Certificate, strong: bool) -> list[str]:
         if not 0 <= v < g.n:
             violations.append(f"terminal {v} out of range")
             return violations
+    # C(t, 2) pairwise edge-disjoint paths need C(t, 2) edges; with fewer, one
+    # violation answers at once, so the pair set below never outgrows the edges
+    t, m = len(terminals), g.num_edges
+    need = t * (t - 1) // 2
+    if need > m:
+        return [f"{t} terminals need {need} edge-disjoint paths, but the graph has {m} edges"]
     expected = {tuple(sorted(p)) for p in combinations(terminals, 2)}
     seen_pairs: set[tuple[int, int]] = set()
     edge_owner: dict[frozenset[int], tuple[int, int]] = {}
@@ -340,8 +344,8 @@ def has_immersion_with_ends(
 # -- serialization ------------------------------------------------------------
 
 
-def certificate_to_dict(cert: Certificate) -> dict:
-    return {
+def certificate_dumps(cert: Certificate) -> str:
+    data = {
         "kind": cert.kind,
         "terminals": sorted(cert.terminals),
         "paths": [
@@ -349,6 +353,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
             for pair, route in sorted((tuple(sorted(p)), r) for p, r in cert.paths.items())
         ],
     }
+    return json.dumps(data, indent=2) + "\n"
 
 
 def _vertices(raw: object) -> list[int]:
@@ -359,7 +364,13 @@ def _vertices(raw: object) -> list[int]:
     return raw
 
 
-def certificate_from_dict(data: dict) -> Certificate:
+def certificate_loads(text: str) -> Certificate:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"certificate is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise FormatError("certificate nests JSON arrays or objects too deeply") from exc
     try:
         kind = data["kind"]
         terminals = frozenset(_vertices(data["terminals"]))
@@ -375,17 +386,3 @@ def certificate_from_dict(data: dict) -> Certificate:
     if kind not in (KIND_STRONG, KIND_WEAK, KIND_SUBDIVISION):
         raise FormatError(f"unknown certificate kind {kind!r}")
     return Certificate(kind, terminals, paths)
-
-
-def certificate_dumps(cert: Certificate) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
-
-
-def certificate_loads(text: str) -> Certificate:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"certificate is not valid JSON: {exc}") from exc
-    except RecursionError as exc:  # the decoder recurses once per nesting level
-        raise FormatError("certificate nests JSON arrays or objects too deeply") from exc
-    return certificate_from_dict(data)

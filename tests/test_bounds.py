@@ -151,12 +151,12 @@ def test_case1_rule_matches_the_reference(c):
 
 def test_branch_suprema_are_pinned():
     assert repr(case1_supremum()) == (
-        "BoundResult(log2_bound=1.610822430521916, per_t_exponent=1.610822430521916, "
-        "case_tag='above-delta', c_value=2.8979157616560522, d_value=11, slack_log2=0.0)"
+        "BoundResult(log2_bound=1.610822430521916, case_tag='above-delta', "
+        "c_value=2.8979157616560522, d_value=11, slack_log2=0.0)"
     )
     assert repr(case2_supremum()) == (
-        "BoundResult(log2_bound=2.9104823522738577, per_t_exponent=2.9104823522738577, "
-        "case_tag='at-most-delta', c_value=3.59459022519016, d_value=None, slack_log2=0.0)"
+        "BoundResult(log2_bound=2.9104823522738577, case_tag='at-most-delta', "
+        "c_value=3.59459022519016, d_value=None, slack_log2=0.0)"
     )
 
 
@@ -193,7 +193,6 @@ def test_g_case_reduces_to_boundt_when_m_equals_t():
 def test_g_bound_structure():
     result = g_bound(40, 10, 10, 8)
     assert result.log2_bound > 0
-    assert result.per_t_exponent == result.log2_bound / 10
     assert result.d_value in range(2, 9)
     assert result.c_value == 4.0
     # slack is reported separately, never folded in
@@ -205,7 +204,7 @@ def test_g_bound_structure():
 def test_g_bound_spot_value_large_t():
     t = 10 ** 4
     result = g_bound(4 * t, 3 * t, t, t)
-    assert result.per_t_exponent <= 2.92 + 1e-3
+    assert result.log2_bound / t <= 2.92 + 1e-3
     assert result.case_tag == "at-most-delta"
 
 
@@ -213,7 +212,7 @@ def test_g_bound_huge_t_stays_finite():
     t = 10 ** 6
     result = g_bound(4 * t, 3 * t, t, 10)
     assert math.isfinite(result.log2_bound)
-    assert result.per_t_exponent < 3.0
+    assert result.log2_bound / t < 3.0
 
 
 def test_g_bound_empty_d_range():
@@ -290,7 +289,6 @@ def reference_g_bound(m, x, t, d):
     main, slack, tag, big_d = best
     return bounds.BoundResult(
         log2_bound=main,
-        per_t_exponent=main / t,
         case_tag=tag,
         c_value=m / t,
         d_value=big_d,
@@ -300,7 +298,8 @@ def reference_g_bound(m, x, t, d):
 
 def reference_g_recursion_check(m, x, t, d):
     """The earlier check, kept verbatim as the reference: it evaluates m and
-    m + 1 twice, and skips each Delta_1 with m - Delta_1 < t in the loop."""
+    m + 1 twice, skips each Delta_1 with m - Delta_1 < t in the loop, and
+    probes d + 1, which cannot fail, so the check without it must agree."""
     failures = []
 
     def value(mm, xx, tt, dd):
@@ -406,13 +405,14 @@ def test_g_recursion_check_matches_the_reference(t, m_over_t, x, d):
 @pytest.mark.parametrize("params", [(4000, 1600, 90, 220), (5000, 2000, 100, 250), (6000, 2400, 110, 280)])
 def test_g_recursion_check_evaluates_each_point_once(monkeypatch, params):
     # the benchmark's three base points: the base, m + 1, m + 2, x + 1,
-    # t + 1, d + 1 and the first Delta_1, which already satisfies the
-    # recursion; the earlier check evaluated m and m + 1 once more each
+    # t + 1 and the first Delta_1, which already satisfies the recursion;
+    # the earlier check evaluated m and m + 1 once more each, and d + 1,
+    # which cannot fail: g_bound at d + 1 maximises over a larger D range
     calls = []
     real = bounds.g_bound
     monkeypatch.setattr(bounds, "g_bound", lambda *p: calls.append(p) or real(*p))
     assert g_recursion_check(*params).passed
-    assert len(calls) == len(set(calls)) == 7
+    assert len(calls) == len(set(calls)) == 6
 
 
 def _recursion_base_points(rng):

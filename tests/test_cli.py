@@ -138,6 +138,20 @@ def test_verify_reads_its_default_mode_from_the_certificate_kind(capsys, tmp_pat
     assert out.startswith("certificate INVALID (strong)\n")
 
 
+def test_verify_answers_too_few_edges_at_once(capsys, tmp_path):
+    # 2,000 terminals need 1,999,000 edge-disjoint paths; the graph has none
+    graph = tmp_path / "empty.el"
+    graph.write_text("2000 0\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"kind": "strong_immersion", "terminals": list(range(2000)), "paths": []}))
+    code, out, _ = run(capsys, "verify", "--input", str(graph), "--certificate", str(cert))
+    assert code == 1
+    assert out == (
+        "certificate INVALID (strong)\n"
+        "  violation: 2000 terminals need 1999000 edge-disjoint paths, but the graph has 0 edges\n"
+    )
+
+
 def test_count_both_reports_a_mismatch(capsys, monkeypatch, mc8_path):
     real = cli.count_cliques_peeling
 
@@ -209,6 +223,48 @@ def test_a_missing_required_flag_is_usage_error(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("embed", "--lemma", "subdivision", "--terminals", "0,x"),
+            "terminals must be comma-separated integers, got '0,x'",
+        ),
+        (("embed", "--lemma", "subdivision", "--terminals", "0,7"), "vertex 7 out of range for a graph on 3 vertices"),
+        (("params", "--approx", "--t", "0"), "need 1 <= t <= n, got t = 0, n = 30"),
+    ],
+)
+def test_a_bad_value_for_an_input_graph_is_usage_error(capsys, tmp_path, argv, message):
+    # the triangle for embed; 30 vertices, beyond the subset guard, for params --approx
+    graph = tmp_path / "g.el"
+    n = 30 if argv[0] == "params" else 3
+    graph.write_text(write_edge_list(Graph.from_edge_list(n, [(0, 1), (0, 2), (1, 2)])), encoding="ascii")
+    code, out, err = run(capsys, *argv, "--input", str(graph))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [("1,2", "--params expects t,x,D, got '1,2'"), ("1,2,x", "--params must be integers, got '1,2,x'")],
+)
+def test_bounds_params_of_the_wrong_length_or_type_are_usage_errors(capsys, params, message):
+    code, out, err = run(capsys, "bounds", "--mode", "boundt", "--params", params)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_a_non_integer_limit_is_usage_error(capsys, mc8_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--input", mc8_path, "--format", "graph6", "--limit-n", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --limit-n: must be an integer, got 'x'" in captured.err
 
 
 @pytest.mark.parametrize(

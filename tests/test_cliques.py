@@ -284,6 +284,19 @@ def test_peeling_matches_oracle():
         assert count_cliques_peeling(g)[0] == count_cliques_oracle(g)
 
 
+def test_peeling_on_a_hub_joined_to_k44():
+    # vertex 0 joined to 1-4, and K_{4,4} between {1, 3, 5, 6} and {2, 4, 7, 8}:
+    # the residual {2, 4} at depth 2 is not a clique and is popped before any
+    # triangle is seen, so the clique number 3 comes from the residual {4} it
+    # pushes; 1 + 9 vertices + 20 edges + 4 triangles through 0
+    edges = [(0, v) for v in range(1, 5)] + [(a, b) for a in (1, 3, 5, 6) for b in (2, 4, 7, 8)]
+    g = Graph.from_edge_list(9, edges)
+    expected = CliqueStats(34, 33, 3)
+    assert count_cliques_oracle(g) == expected
+    assert count_cliques_peeling(g) == reference_peeling(g)
+    assert count_cliques_peeling(g)[0] == expected
+
+
 def test_peeling_matches_oracle_on_every_graph_up_to_5_vertices():
     # every edge set on at most 5 vertices, 2^10 of them at n = 5: the small
     # residuals meet both closings, the clique one and the general pick,

@@ -1,8 +1,10 @@
+import json
 import os
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -18,9 +20,7 @@ from clique_extremal import (
     GuardExceeded,
     PreconditionViolation,
     certificate_dumps,
-    certificate_from_dict,
     certificate_loads,
-    certificate_to_dict,
     has_immersion_with_ends,
     immerse_dense,
     immersion_tightness,
@@ -259,6 +259,37 @@ def test_verifier_rejects_broken_routes():
     assert any("non-edge" in v for v in result.violations)
     repeated = Certificate("strong_immersion", frozenset([0, 2]), {(0, 2): (0, 1, 0, 1, 2)})
     assert not verify_immersion(g, repeated, "weak")
+    for bad in (5, -1):
+        outside = Certificate("strong_immersion", frozenset([0, 1]), {(0, 1): (0, bad, 1)})
+        assert verify_immersion(g, outside, "weak").violations == (
+            f"route for (0, 1) leaves the vertex range: (0, {bad}, 1)",
+        )
+
+
+def test_verify_immersion_rejects_an_unknown_mode():
+    cert = Certificate("strong_immersion", frozenset([0, 1]), {(0, 1): (0, 1)})
+    with pytest.raises(ValueError, match="^mode must be 'weak' or 'strong', got 'bogus'$"):
+        verify_immersion(complete_graph(3), cert, mode="bogus")
+
+
+def test_verifier_work_is_bounded_by_the_edge_count():
+    # C(t, 2) edge-disjoint paths need C(t, 2) edges: 2,000 terminals against
+    # an edgeless graph are one violation, reported before the 1,999,000
+    # terminal pairs would be built
+    g = Graph.from_edge_list(2000, [])
+    text = certificate_dumps(Certificate(KIND_STRONG, frozenset(range(2000)), {}))
+    want = ("2000 terminals need 1999000 edge-disjoint paths, but the graph has 0 edges",)
+    # untraced first: a verifier that lists every missing pair fails here, on a short slice
+    assert verify_immersion(g, certificate_loads(text)).violations[:2] == want
+    tracemalloc.start()
+    try:
+        cert = certificate_loads(text)
+        results = [verify_immersion(g, cert, "weak"), verify_immersion(g, cert), verify_subdivision(g, cert)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [result.violations for result in results] == [want] * 3
+    assert peak < 2**20
 
 
 def test_subdivision_certificate_is_strong_immersion():
@@ -707,18 +738,19 @@ def test_subdivider_soundness_random_suite():
 def test_certificate_json_round_trip():
     mc8 = matching_complement(8)
     cert = subdivide_dense(mc8, [0, 1, 2, 3])
-    data = certificate_to_dict(cert)
+    text = certificate_dumps(cert)
+    data = json.loads(text)
     assert data["kind"] == "subdivision"
     assert data["terminals"] == [0, 1, 2, 3]
-    back = certificate_from_dict(data)
+    back = certificate_loads(text)
     assert back.paths == cert.paths
     assert back.terminals == cert.terminals
-    assert verify_subdivision(mc8, certificate_loads(certificate_dumps(cert)))
+    assert verify_subdivision(mc8, back)
 
 
 def test_certificate_json_schema_shape():
     cert = immerse_dense(k5_minus_edge(), [0, 1, 2])
-    data = certificate_to_dict(cert)
+    data = json.loads(certificate_dumps(cert))
     assert data["kind"] == "strong_immersion"
     assert data["paths"][0] == {"ends": [0, 1], "route": [0, 3, 1]}
 
@@ -727,9 +759,15 @@ def test_certificate_json_errors():
     with pytest.raises(FormatError):
         certificate_loads("not json")
     with pytest.raises(FormatError):
-        certificate_from_dict({"kind": "nonsense", "terminals": [], "paths": []})
+        certificate_loads('{"kind": "nonsense", "terminals": [], "paths": []}')
     with pytest.raises(FormatError):
-        certificate_from_dict({"kind": "subdivision", "terminals": []})
+        certificate_loads('{"kind": "subdivision", "terminals": []}')
+    twice = (
+        '{"kind":"strong_immersion","terminals":[0,1],'
+        '"paths":[{"ends":[0,1],"route":[0,1]},{"ends":[1,0],"route":[1,0]}]}'
+    )
+    with pytest.raises(FormatError, match=r"^duplicate path entry for pair \(0, 1\)$"):
+        certificate_loads(twice)
 
 
 NON_INTEGER_VERTICES = [

@@ -18,7 +18,7 @@ from clique_extremal import (
     write_graph6,
 )
 from clique_extremal.cli import main
-from clique_extremal.formats import _CHUNK, _encode_size
+from clique_extremal.formats import _CHUNK, _decode_size, _encode_size
 from clique_extremal.limits import MAX_PARSE_N
 
 from conftest import complete_graph
@@ -353,6 +353,22 @@ def test_graph6_errors():
         read_graph6("C")  # truncated body
     with pytest.raises(FormatError):
         read_graph6("C\x1c~")  # character below the offset
+    with pytest.raises(FormatError, match="^truncated graph6 size prefix$"):
+        read_graph6("~")
+    # n = 4 needs one body character; '>' is chr(62), one below the offset
+    with pytest.raises(FormatError, match="^invalid graph6 character '>'$"):
+        read_graph6("C>")
+
+
+def test_graph6_eight_character_size_prefix_and_its_limit():
+    # 258048 = 2^18 is the first n beyond the four-character form
+    assert len(_encode_size(258047)) == 4
+    for n in 258048, 2**36 - 1:
+        encoded = _encode_size(n)
+        assert encoded.startswith("~~") and len(encoded) == 8
+        assert _decode_size(encoded) == (n, 8)
+    with pytest.raises(FormatError, match="^graph6 cannot encode n = 68719476736$"):
+        _encode_size(2**36)
 
 
 def test_graph6_size_prefix_is_range_checked_and_shortest(capsys, tmp_path):

@@ -23,6 +23,11 @@ def test_from_edge_list_collapses_duplicates():
     assert g.num_edges == 1
 
 
+def test_constructor_rejects_a_wrong_row_count():
+    with pytest.raises(ValueError, match="^expected 3 adjacency rows, got 2$"):
+        Graph(3, [0, 0])
+
+
 def test_from_edge_list_empty_graph():
     g = Graph.from_edge_list(4, [])
     assert g.num_edges == 0
