@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
@@ -60,8 +59,7 @@ class BoundtValue(NamedTuple):
     clique_number_bound: Fraction
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     log2_bound: float
     case_tag: str
     c_value: float
@@ -69,8 +67,7 @@ class BoundResult:
     slack_log2: float = 0.0
 
 
-@dataclass(frozen=True)
-class RecursionCheck:
+class RecursionCheck(NamedTuple):
     passed: bool
     failures: tuple[str, ...]
 

@@ -95,13 +95,7 @@ def _cmd_count(args: argparse.Namespace, g: Graph) -> int:
         print(f"COUNT MISMATCH: oracle {oracle} vs peeling {peeling}", file=sys.stderr)
         return 1
     stats = peeling or oracle
-    data = {
-        "n": g.n,
-        "method": args.method,
-        "count_including_empty": stats.count_including_empty,
-        "count_nonempty": stats.count_nonempty,
-        "clique_number": stats.clique_number,
-    }
+    data = {"n": g.n, "method": args.method, **stats._asdict()}
     _emit(
         data,
         args.json,
@@ -124,14 +118,7 @@ def _cmd_params(args: argparse.Namespace, g: Graph) -> int:
     if args.approx and g.n > effective_guard(SUBSET_MAX_N, args.limit_n):
         return _cmd_params_approx(g, args)
     report = t_param(g, args.limit_n)
-    data = {
-        "n": g.n,
-        "t_param": report.t_param,
-        "witness": sorted(report.witness),
-        "delta": report.delta,
-        "sigma_lower": report.sigma_lower,
-        "sigma_upper": report.sigma_upper,
-    }
+    data = {"n": g.n, **report._asdict(), "witness": sorted(report.witness)}
     lines = [
         f"t(G) = {report.t_param}  witness {sorted(report.witness)}",
         f"max missing degree = {report.delta}",

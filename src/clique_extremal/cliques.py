@@ -13,7 +13,7 @@ non-empty count is reported alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, reach
 from .limits import ORACLE_MAX_N, check_guard
@@ -21,8 +21,7 @@ from .limits import ORACLE_MAX_N, check_guard
 __all__ = ["CliqueStats", "count_cliques_oracle", "count_cliques_peeling"]
 
 
-@dataclass(frozen=True)
-class CliqueStats:
+class CliqueStats(NamedTuple):
     count_including_empty: int
     count_nonempty: int
     clique_number: int

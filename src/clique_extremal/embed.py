@@ -10,9 +10,8 @@ strong immersions whose paths are internally vertex-disjoint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, PreconditionViolation
 from .graph import Graph, induced_paths, simple_paths, vertex_mask
@@ -36,8 +35,7 @@ KIND_WEAK = "weak_immersion"
 KIND_SUBDIVISION = "subdivision"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """An embedding of a complete graph: its kind (one of the three above),
     its end (branch) vertices, and the route of each terminal pair."""
 
@@ -46,8 +44,7 @@ class Certificate:
     paths: dict[tuple[int, int], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 
@@ -356,33 +353,50 @@ def certificate_dumps(cert: Certificate) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _vertices(raw: object) -> list[int]:
-    """A JSON array of JSON integers, as is: no string, boolean or fraction is
-    read as a vertex."""
-    if type(raw) is not list or any(type(v) is not int for v in raw):
-        raise TypeError(f"vertices must be an array of integers, got {raw!r}")
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number with a fraction or exponent", bool: "a boolean", type(None): "null"}
+
+
+def _shaped(raw: object, field: str, kind: type, keys: tuple[str, ...] = ()) -> Any:
+    """``raw`` if it is a JSON ``kind`` with ``keys``, else a FormatError naming ``field``."""
+    if type(raw) is not kind:
+        raise FormatError(f"malformed certificate: {field} must be {_JSON_TYPES[kind]}, got {_JSON_TYPES[type(raw)]}")
+    if missing := [key for key in keys if key not in raw]:
+        raise FormatError(f"malformed certificate: {field} has no {missing[0]!r}")
     return raw
 
 
+def _vertices(raw: object, field: str) -> list[int]:
+    """JSON integers only: no string, boolean or fraction is read as a vertex."""
+    vertices = _shaped(raw, field, list)
+    for i, v in enumerate(vertices):
+        if type(v) is not int:
+            _shaped(v, f"{field}[{i}]", int)  # raises
+    return vertices
+
+
 def certificate_loads(text: str) -> Certificate:
+    """The certificate ``certificate_dumps`` wrote, or a FormatError naming its first malformed field."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"certificate is not valid JSON: {exc}") from exc
     except RecursionError as exc:  # the decoder recurses once per nesting level
         raise FormatError("certificate nests JSON arrays or objects too deeply") from exc
-    try:
-        kind = data["kind"]
-        terminals = frozenset(_vertices(data["terminals"]))
-        paths: dict[tuple[int, int], tuple[int, ...]] = {}
-        for entry in data["paths"]:
-            u, v = _vertices(entry["ends"])
-            pair = (u, v) if u < v else (v, u)
-            if pair in paths:
-                raise FormatError(f"duplicate path entry for pair {pair}")
-            paths[pair] = tuple(_vertices(entry["route"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed certificate: {exc}") from exc
+    data = _shaped(data, "the top level", dict, ("kind", "terminals", "paths"))
+    kind = data["kind"]
+    terminals = frozenset(_vertices(data["terminals"], "terminals"))
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    for i, entry in enumerate(_shaped(data["paths"], "paths", list)):
+        entry = _shaped(entry, f"paths[{i}]", dict, ("ends", "route"))
+        ends = _vertices(entry["ends"], f"paths[{i}].ends")
+        if len(ends) != 2:
+            raise FormatError(f"malformed certificate: paths[{i}].ends must be two vertices, got {len(ends)}")
+        u, v = ends
+        pair = (u, v) if u < v else (v, u)
+        if pair in paths:
+            raise FormatError(f"duplicate path entry for pair {pair}")
+        paths[pair] = tuple(_vertices(entry["route"], f"paths[{i}].route"))
     if kind not in (KIND_STRONG, KIND_WEAK, KIND_SUBDIVISION):
         raise FormatError(f"unknown certificate kind {kind!r}")
     return Certificate(kind, terminals, paths)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .graph import Graph, iter_bits
 from .limits import SUBSET_MAX_N, check_guard
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParamReport:
+class ParamReport(NamedTuple):
     """t(G) with a witness set, the maximum missing degree, and the implied
     sandwich for the clique subdivision number."""
 

@@ -18,9 +18,9 @@ import math
 import random
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .bounds import boundt_value, case1_supremum, case2_supremum, optimize_constant
 from .cliques import count_cliques_oracle, count_cliques_peeling
@@ -41,8 +41,7 @@ __all__ = ["CheckResult", "SuiteReport", "run_suite", "report_to_json", "CHECKS"
 _DENSITIES = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     summary: str
@@ -50,8 +49,7 @@ class CheckResult:
     seconds: float
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     seed: int
     quick: bool
     results: tuple[CheckResult, ...]

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -105,6 +104,26 @@ def test_verify_rejects_a_non_integer_vertex(capsys, tmp_path):
     assert err.startswith("error: malformed certificate: ")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("5", "the top level must be an object, got an integer"),
+    ("[]", "the top level must be an object, got an array"),
+    (
+        '{"kind":"subdivision","terminals":[0,1],"paths":[{"ends":[0,1,2],"route":[0,1]}]}',
+        "paths[0].ends must be two vertices, got 3",
+    ),
+], ids=["number", "array", "three-ends"])
+def test_verify_names_the_malformed_field(capsys, tmp_path, text, message):
+    # valid JSON of the wrong shape once passed Python's own exception text through
+    graph = tmp_path / "three.el"
+    graph.write_text("3 1\n0 1\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    code, out, err = run(capsys, "verify", "--input", str(graph), "--certificate", str(cert))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: malformed certificate: {message}\n"
+
+
 @pytest.mark.parametrize("text", [
     "[" * 200_000 + "]" * 200_000,
     '{"kind":"subdivision","terminals":[0,1],"paths":' + "[" * 200_000 + "]" * 200_000 + "}",
@@ -157,7 +176,7 @@ def test_count_both_reports_a_mismatch(capsys, monkeypatch, mc8_path):
 
     def off_by_one(g):
         stats, picks = real(g)
-        return replace(stats, count_including_empty=stats.count_including_empty + 1), picks
+        return stats._replace(count_including_empty=stats.count_including_empty + 1), picks
 
     monkeypatch.setattr(cli, "count_cliques_peeling", off_by_one)
     code, out, err = run(capsys, "count", "--input", mc8_path, "--format", "graph6", "--method", "both")

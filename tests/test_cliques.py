@@ -1,7 +1,6 @@
 import inspect
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -217,7 +216,7 @@ def test_matching_complement_check_counts_with_the_peeling_counter(monkeypatch, 
 
     def off_by_one(g):
         stats, picks = real(g)
-        return replace(stats, count_including_empty=stats.count_including_empty + 1), picks
+        return stats._replace(count_including_empty=stats.count_including_empty + 1), picks
 
     monkeypatch.setattr(suite, "count_cliques_peeling", off_by_one)
     name, passed, _, data = suite.check_matching_complement_counts(0, quick)

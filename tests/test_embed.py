@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -353,7 +352,7 @@ def test_verifiers_reject_a_dropped_path(instance, data):
     g, cert = instance
     pair = data.draw(st.sampled_from(sorted(cert.paths)))
     paths = {p: route for p, route in cert.paths.items() if p != pair}
-    _check_rejected(g, cert, replace(cert, paths=paths), f"no path for terminal pair {pair}")
+    _check_rejected(g, cert, cert._replace(paths=paths), f"no path for terminal pair {pair}")
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,7 +361,7 @@ def test_verifiers_reject_a_pair_repeated_under_its_reversed_key(instance, data)
     g, cert = instance
     u, v = data.draw(st.sampled_from(sorted(cert.paths)))
     paths = {**cert.paths, (v, u): cert.paths[(u, v)][::-1]}
-    _check_rejected(g, cert, replace(cert, paths=paths), f"duplicate path for pair {(u, v)}")
+    _check_rejected(g, cert, cert._replace(paths=paths), f"duplicate path for pair {(u, v)}")
 
 
 @settings(max_examples=60, deadline=None)
@@ -376,7 +375,7 @@ def test_verifiers_reject_a_route_over_a_non_edge(instance, data):
     # so a and b are consecutive on the route
     route = (u, *(x for x in (a, b) if x not in (u, v)), v)
     paths = {**cert.paths, (u, v): route}
-    _check_rejected(g, cert, replace(cert, paths=paths), "non-edge")
+    _check_rejected(g, cert, cert._replace(paths=paths), "non-edge")
 
 
 @settings(max_examples=60, deadline=None)
@@ -386,7 +385,7 @@ def test_verifiers_reject_a_terminal_inside_a_route(instance, data):
     u, v = data.draw(st.sampled_from(sorted(cert.paths)))
     w = data.draw(st.sampled_from(sorted(cert.terminals - {u, v})))
     paths = {**cert.paths, (u, v): (u, w, v)}
-    _check_rejected(g, cert, replace(cert, paths=paths), "passes through terminals", modes=("strong", "subdivision"))
+    _check_rejected(g, cert, cert._replace(paths=paths), "passes through terminals", modes=("strong", "subdivision"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,7 +396,7 @@ def test_verify_subdivision_rejects_a_reused_internal_vertex(instance, data):
     x = cert.paths[owner][1]
     u, v = data.draw(st.sampled_from(sorted(set(cert.paths) - {owner})))
     paths = {**cert.paths, (u, v): (u, x, v)}
-    _check_rejected(g, cert, replace(cert, paths=paths), f"internal vertex {x} shared by", modes=("subdivision",))
+    _check_rejected(g, cert, cert._replace(paths=paths), f"internal vertex {x} shared by", modes=("subdivision",))
 
 
 # -- exhaustive searches -------------------------------------------------------
@@ -768,6 +767,32 @@ def test_certificate_json_errors():
     )
     with pytest.raises(FormatError, match=r"^duplicate path entry for pair \(0, 1\)$"):
         certificate_loads(twice)
+
+
+_PATHS = '{"kind":"subdivision","terminals":[0,1],"paths":%s}'
+MALFORMED_SHAPES = [
+    ('{"kind":"subdivision","terminals":[]}', "the top level has no 'paths'"),
+    ('{"kind":"subdivision","terminals":null,"paths":[]}', "terminals must be an array, got null"),
+    ('{"kind":"subdivision","terminals":[[1]],"paths":[]}', "terminals[0] must be an integer, got an array"),
+    (_PATHS % '{"a":1}', "paths must be an array, got an object"),
+    (_PATHS % '"ab"', "paths must be an array, got a string"),
+    (_PATHS % "[3]", "paths[0] must be an object, got an integer"),
+    (_PATHS % '[{"ends":[0,1]}]', "paths[0] has no 'route'"),
+    (_PATHS % '[{"ends":[1],"route":[0,1]}]', "paths[0].ends must be two vertices, got 1"),
+    (_PATHS % '[{"ends":[0,1],"route":[0,1]},{"ends":[0,true],"route":[0,1]}]',
+     "paths[1].ends[1] must be an integer, got a boolean"),
+    (_PATHS % '[{"ends":[0,1],"route":[0,1.0]}]', "paths[0].route[1] must be an integer, got a number with a fraction or exponent"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_SHAPES, ids=[
+    "no-paths", "null-terminals", "nested-terminal", "paths-object", "paths-string",
+    "entry-integer", "no-route", "one-end", "boolean-end", "fraction-route",
+])
+def test_certificate_loads_names_the_malformed_field(text, message):
+    with pytest.raises(FormatError) as exc:
+        certificate_loads(text)
+    assert str(exc.value) == f"malformed certificate: {message}"
 
 
 NON_INTEGER_VERTICES = [
