@@ -41,7 +41,7 @@ from .embed import (
 from .errors import FormatError, GuardExceeded, PreconditionViolation
 from .formats import _FORMATS, load_graph, write_edge_list, write_graph6
 from .graph import Graph
-from .limits import MAX_CONSTRUCT_N, SIGMA_MAX_N, SUBSET_MAX_N, effective_guard
+from .limits import MAX_CONSTRUCT_N, ORACLE_MAX_N, SIGMA_MAX_N, SUBSET_MAX_N, check_guard
 from .params import min_tset_missing, t_param, t_param_lower_estimate, tset_missing_upper_estimate
 from .suite import report_to_json, run_suite
 
@@ -87,9 +87,12 @@ def _emit(data: dict, as_json: bool, human_lines: list[str]) -> None:
 
 
 def _cmd_count(args: argparse.Namespace, g: Graph) -> int:
-    if args.method == "peeling" and args.limit_n is not None:
+    oracle = None
+    if args.method != "peeling":
+        check_guard("count_cliques_oracle", g.n, ORACLE_MAX_N, args.limit_n)
+        oracle = count_cliques_oracle(g)
+    elif args.limit_n is not None:
         raise ValueError("--limit-n is not read by --method peeling")
-    oracle = count_cliques_oracle(g, args.limit_n) if args.method != "peeling" else None
     peeling = count_cliques_peeling(g)[0] if args.method != "oracle" else None
     if args.method == "both" and oracle != peeling:
         print(f"COUNT MISMATCH: oracle {oracle} vs peeling {peeling}", file=sys.stderr)
@@ -109,15 +112,20 @@ def _cmd_count(args: argparse.Namespace, g: Graph) -> int:
 
 
 def _cmd_sigma(args: argparse.Namespace, g: Graph) -> int:
-    sigma = sigma_exhaustive(g, args.limit_n)
+    check_guard("sigma_exhaustive", g.n, SIGMA_MAX_N, args.limit_n)
+    sigma = sigma_exhaustive(g)
     _emit({"n": g.n, "sigma": sigma}, args.json, [f"sigma = {sigma}"])
     return 0
 
 
 def _cmd_params(args: argparse.Namespace, g: Graph) -> int:
-    if args.approx and g.n > effective_guard(SUBSET_MAX_N, args.limit_n):
-        return _cmd_params_approx(g, args)
-    report = t_param(g, args.limit_n)
+    try:
+        check_guard("t_param", g.n, SUBSET_MAX_N, args.limit_n)
+    except GuardExceeded:
+        if args.approx:
+            return _cmd_params_approx(g, args)
+        raise
+    report = t_param(g)
     data = {"n": g.n, **report._asdict(), "witness": sorted(report.witness)}
     lines = [
         f"t(G) = {report.t_param}  witness {sorted(report.witness)}",
@@ -129,7 +137,7 @@ def _cmd_params(args: argparse.Namespace, g: Graph) -> int:
         data["sigma"] = sigma
         lines.append(f"sigma (exhaustive) = {sigma}")
     if args.t is not None:
-        value, witness = min_tset_missing(g, args.t, args.limit_n)
+        value, witness = min_tset_missing(g, args.t)
         data["t"] = args.t
         data["min_tset_missing"] = value
         data["tset_witness"] = sorted(witness)

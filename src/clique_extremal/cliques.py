@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graph import Graph, reach
-from .limits import ORACLE_MAX_N, check_guard
 
 __all__ = ["CliqueStats", "count_cliques_oracle", "count_cliques_peeling"]
 
@@ -27,7 +26,7 @@ class CliqueStats(NamedTuple):
     clique_number: int
 
 
-def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
+def count_cliques_oracle(g: Graph) -> CliqueStats:
     """Exact clique count and clique number via independent sets of the
     complement (cliques of G are exactly the independent sets of its
     complement).
@@ -42,8 +41,7 @@ def count_cliques_oracle(g: Graph, limit_n: int | None = None) -> CliqueStats:
     edges (half the degree sum) and closes as (3^e * 2^(k-2e), k - e) on k
     vertices: each edge contributes none, one or the other end. When v's
     closed complement neighbourhood covers the mask, v's component is the
-    whole mask, so the branch is taken without a ``reach``."""
-    check_guard("count_cliques_oracle", g.n, ORACLE_MAX_N, limit_n)
+    whole mask, so the branch is taken without a ``reach``. No size guard."""
     comp = g.complement().rows
     memo: dict[int, tuple[int, int]] = {0: (1, 0)}
     stack: list[int | tuple[int, int, int, bool]] = [g.full_mask]

@@ -15,7 +15,6 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, PreconditionViolation
 from .graph import Graph, induced_paths, simple_paths, vertex_mask
-from .limits import IMMERSION_MAX_N, SIGMA_MAX_N, check_guard
 
 __all__ = [
     "Certificate",
@@ -231,7 +230,7 @@ def _pack(pairs: list[tuple[int, int]], state: Hashable, routes: Callable) -> bo
     return False
 
 
-def sigma_exhaustive(g: Graph, limit_n: int | None = None) -> int:
+def sigma_exhaustive(g: Graph) -> int:
     """Exact clique subdivision number: the largest h such that some h-set of
     branch vertices can be joined by internally vertex-disjoint paths whose
     internal vertices avoid the branch set.
@@ -255,9 +254,8 @@ def sigma_exhaustive(g: Graph, limit_n: int | None = None) -> int:
     internal sets of induced paths are exactly the minimal such S (the
     shortest path of a minimal S uses all of it, and the only u-v path in
     an induced path is the path itself), and an induced path is the one
-    path through its vertex set, so each minimal S is yielded once.
+    path through its vertex set, so each minimal S is yielded once. No size guard.
     """
-    check_guard("sigma_exhaustive", g.n, SIGMA_MAX_N, limit_n)
     n = g.n
     if n == 0:
         return 0
@@ -297,7 +295,6 @@ def has_immersion_with_ends(
     g: Graph,
     terminals: Iterable[int],
     strong: bool = True,
-    limit_n: int | None = None,
 ) -> bool:
     """Exact decision: is there an immersion of a complete graph with exactly
     the given end vertices?
@@ -308,9 +305,8 @@ def has_immersion_with_ends(
     terminal needs its own edge towards each other terminal, so a terminal
     of degree below t - 1 answers False at once. In strong mode the internal
     vertices are restricted to non-terminals; weak mode lifts only that
-    restriction.
+    restriction. No size guard; no command runs it.
     """
-    check_guard("has_immersion_with_ends", g.n, IMMERSION_MAX_N, limit_n)
     t_set = sorted(set(terminals))
     t_mask = vertex_mask(t_set, g.n)
     if len(t_set) <= 1:

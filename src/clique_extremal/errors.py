@@ -8,7 +8,7 @@ class CliqueExtremalError(Exception):
 
 
 class GuardExceeded(CliqueExtremalError):
-    """An exhaustive routine was asked to run beyond its size guard."""
+    """The CLI refused an input beyond the size guard of an exhaustive search."""
 
 
 class PreconditionViolation(CliqueExtremalError):

@@ -2,7 +2,7 @@
 parameter t(G), and the missing-degree bounds tied to subdivisions.
 
 All bound values are exact rationals; the subset searches are exact with a
-branch-and-bound over the complement graph and a size guard.
+branch-and-bound over the complement graph, with no size guard.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .graph import Graph, iter_bits
-from .limits import SUBSET_MAX_N, check_guard
 
 __all__ = [
     "ParamReport",
@@ -96,7 +95,7 @@ def _search_tables(g: Graph) -> _SearchTables:
 def min_tset_missing(
     g: Graph,
     t: int,
-    limit_n: int | None = None,
+    *,
     stop_at: int | None = None,
 ) -> tuple[int, frozenset[int]]:
     """Minimum number of missing edges over all t-subsets, with a witness.
@@ -130,12 +129,11 @@ def min_tset_missing(
     witness is the first optimal subset in search order, whichever bounds
     are used. ``stop_at`` ends the search at the first subset found with at
     most that many missing edges: ``t_param`` stops at n - t, and the suite's
-    averaging check at floor(Delta t^2 / 2n). Otherwise the value is exact.
+    averaging check at floor(Delta t^2 / 2n). Otherwise the value is exact. No size guard.
     """
     n = g.n
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t = {t}, n = {n}")
-    check_guard("min_tset_missing", n, SUBSET_MAX_N, limit_n)
     tables = _search_tables(g)
     comp, levels, width, fields = tables.comp, tables.levels, tables.width, tables.fields
     field, top_shift, byteorder = (1 << width) - 1, width - 1, sys.byteorder
@@ -192,7 +190,7 @@ def _averaging_estimate(n: int, total_missing: int, t: int) -> int:
     return total_missing * (t * (t - 1)) // (n * (n - 1)) if t >= 2 else 0  # n >= t >= 2
 
 
-def t_param(g: Graph, limit_n: int | None = None) -> ParamReport:
+def t_param(g: Graph) -> ParamReport:
     """Largest t admitting a t-set with at most n - t missing edges inside,
     plus the witness and the sandwich t - Delta <= sigma <= t.
 
@@ -205,14 +203,13 @@ def t_param(g: Graph, limit_n: int | None = None) -> ParamReport:
     above the first failure qualifies, and only that one search has to run
     to exhaustion. The witness comes from the call ``min_tset_missing(g,
     t(G), stop_at=n - t(G))``, the one a scan down from n would return from,
-    so it is the same.
+    so it is the same. No size guard.
     """
     n = g.n
     t = t_param_lower_estimate(g)  # raises on the empty graph
-    check_guard("t_param", n, SUBSET_MAX_N, limit_n)
-    _, witness = min_tset_missing(g, t, limit_n=limit_n, stop_at=n - t)
+    _, witness = min_tset_missing(g, t, stop_at=n - t)
     while t < n:
-        value, larger = min_tset_missing(g, t + 1, limit_n=limit_n, stop_at=n - t - 1)
+        value, larger = min_tset_missing(g, t + 1, stop_at=n - t - 1)
         if value > n - t - 1:
             break
         t, witness = t + 1, larger

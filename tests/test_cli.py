@@ -518,6 +518,25 @@ def test_limit_n_with_the_peeling_counter_is_usage_error(capsys, tmp_path):
         assert code == 0 and json.loads(out)["count_including_empty"] == 7, method
 
 
+@pytest.mark.parametrize(
+    "argv, n, message",
+    [
+        (("count",), 41, "count_cliques_oracle is limited to n <= 40, got n = 41"),
+        (("count", "--method", "oracle"), 41, "count_cliques_oracle is limited to n <= 40, got n = 41"),
+        (("sigma",), 15, "sigma_exhaustive is limited to n <= 14, got n = 15"),
+        (("params",), 25, "t_param is limited to n <= 24, got n = 25"),
+    ],
+    ids=("count", "count-oracle", "sigma", "params"),
+)
+def test_each_guarded_command_refuses_one_past_its_guard(capsys, tmp_path, argv, n, message):
+    # the searches take any size: each command applies its guard itself
+    path = str(tmp_path / "edgeless.el")
+    Path(path).write_text(write_edge_list(Graph.from_edge_list(n, [])), encoding="ascii")
+    assert run(capsys, *argv, "--input", path) == (3, "", f"error: {message}\n")
+    code, out, err = run(capsys, *argv, "--input", path, "--limit-n", str(n))
+    assert code == 0 and out != "" and err == ""
+
+
 def test_negative_guard_is_a_usage_error(capsys, tmp_path):
     from clique_extremal import Graph
 

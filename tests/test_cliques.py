@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from clique_extremal import suite
 from clique_extremal import (
     Graph,
-    GuardExceeded,
     count_cliques_oracle,
     count_cliques_peeling,
     matching_complement,
@@ -147,7 +146,7 @@ def test_oracle_counts_a_deep_path_complement():
     # the independent sets of a path on n vertices number F(n + 2); the
     # branch depth here is far beyond the default recursion limit
     n = 1100
-    stats = count_cliques_oracle(_path_complement(n), limit_n=n)
+    stats = count_cliques_oracle(_path_complement(n))
     a, b = 1, 1
     for _ in range(n):
         a, b = b, a + b
@@ -307,11 +306,11 @@ def test_peeling_matches_oracle_on_every_graph_up_to_5_vertices():
             assert count_cliques_peeling(g)[0] == count_cliques_oracle(g), (n, edges)
 
 
-def test_oracle_guard():
-    with pytest.raises(GuardExceeded):
-        count_cliques_oracle(Graph.from_edge_list(41, []))
-    # explicit limit overrides the default
-    count_cliques_oracle(Graph.from_edge_list(41, []), limit_n=41)
+def test_oracle_counts_past_the_cli_guard():
+    # only the CLI refuses n > ORACLE_MAX_N; a sparse graph far beyond it is cheap
+    assert count_cliques_oracle(Graph.from_edge_list(41, [])) == (42, 41, 1)
+    g = random_graph(200, 0.05, 1)
+    assert count_cliques_oracle(g) == count_cliques_peeling(g)[0] == (1408, 1407, 4)
 
 
 def test_adding_edge_never_decreases_count():

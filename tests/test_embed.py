@@ -16,7 +16,6 @@ from clique_extremal import (
     Certificate,
     FormatError,
     Graph,
-    GuardExceeded,
     PreconditionViolation,
     certificate_dumps,
     certificate_loads,
@@ -419,10 +418,10 @@ def test_sigma_star_of_clique():
     assert sigma_exhaustive(star_of_clique(10, 5)) == 4
 
 
-def test_sigma_guard():
-    with pytest.raises(GuardExceeded):
-        sigma_exhaustive(Graph.from_edge_list(15, []))
-    assert sigma_exhaustive(Graph.from_edge_list(15, []), limit_n=15) == 1
+def test_sigma_past_the_cli_guard():
+    # only the CLI refuses n > SIGMA_MAX_N; a 40-vertex binary tree is cheap
+    assert sigma_exhaustive(Graph.from_edge_list(15, [])) == 1
+    assert sigma_exhaustive(Graph.from_edge_list(40, [((v - 1) // 2, v) for v in range(1, 40)])) == 2
 
 
 def test_sigma_subdivision_needs_long_paths():
@@ -466,7 +465,7 @@ def test_has_immersion_with_ends_on_a_deep_path():
     n = 2200
     g = Graph.from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
     start = time.perf_counter()
-    assert has_immersion_with_ends(g, [0, n - 1], limit_n=n)
+    assert has_immersion_with_ends(g, [0, n - 1])
     assert time.perf_counter() - start < 0.5
 
 
@@ -690,11 +689,10 @@ def test_immersion_search_finishes_on_seeded_instances():
     assert done.returncode == 0, done.stderr.decode()
 
 
-def test_has_immersion_with_ends_degenerate_and_guard():
+def test_has_immersion_with_ends_degenerate_and_unguarded():
     assert has_immersion_with_ends(complete_graph(3), [2])
     assert has_immersion_with_ends(complete_graph(3), [])
-    with pytest.raises(GuardExceeded):
-        has_immersion_with_ends(Graph.from_edge_list(13, []), [0, 1])
+    assert not has_immersion_with_ends(Graph.from_edge_list(13, []), [0, 1])
 
 
 def test_embedder_soundness_random_suite():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from clique_extremal import (
     Graph,
-    GuardExceeded,
     delta_threshold_no_subdivision,
     matching_complement,
     min_tset_missing,
@@ -243,7 +242,7 @@ def test_min_tset_missing_above_the_guard_matches_the_reference(n, p, t, width):
     g = random_graph(n, p, n)
     assert params._search_tables(g).width == width
     for stop_at in (None, 2):
-        assert min_tset_missing(g, t, limit_n=n, stop_at=stop_at) == reference_min_tset_missing(
+        assert min_tset_missing(g, t, stop_at=stop_at) == reference_min_tset_missing(
             g, t, limit_n=n, stop_at=stop_at
         )
 
@@ -265,7 +264,7 @@ def test_min_tset_missing_cache_stays_bounded():
 def test_min_tset_missing_deep_search_needs_no_recursion():
     # 1200 vertices: a search recursing once per vertex would pass Python's
     # default recursion limit
-    assert min_tset_missing(Graph.from_edge_list(1200, []), 2, limit_n=1200)[0] == 1
+    assert min_tset_missing(Graph.from_edge_list(1200, []), 2)[0] == 1
 
 
 def test_min_tset_missing_validates():
@@ -273,11 +272,9 @@ def test_min_tset_missing_validates():
         min_tset_missing(complete_graph(3), 0)
     with pytest.raises(ValueError):
         min_tset_missing(complete_graph(3), 4)
-    with pytest.raises(GuardExceeded):
-        min_tset_missing(Graph.from_edge_list(25, []), 3)
-    assert min_tset_missing(Graph.from_edge_list(25, []), 3, limit_n=25)[0] == 3
-    with pytest.raises(ValueError):
-        min_tset_missing(complete_graph(3), 2, limit_n=-1)
+    with pytest.raises(TypeError):  # stop_at is keyword-only, never a positional limit
+        min_tset_missing(complete_graph(3), 2, 3)
+    assert min_tset_missing(Graph.from_edge_list(25, []), 3)[0] == 3
 
 
 def test_the_environment_moves_no_guard(monkeypatch):
@@ -309,6 +306,8 @@ def test_t_param_spot_values():
     assert t_param(matching_complement(8)).t_param == 6
     assert t_param(star_of_clique(10, 5)).t_param == 6
     assert t_param(cycle_graph(5)).t_param == 3
+    # past SUBSET_MAX_N, which only the CLI applies, yet cheap
+    assert t_param(star_of_clique(60, 5)).t_param == 13
 
 
 def test_t_param_matches_brute_force():
@@ -326,7 +325,7 @@ def reference_t_param(g: Graph, limit_n: int | None = None) -> params.ParamRepor
     check_guard("t_param", n, SUBSET_MAX_N, limit_n)
     delta = g.max_missing_degree()
     for t in range(n, 0, -1):
-        value, witness = min_tset_missing(g, t, limit_n=limit_n, stop_at=n - t)
+        value, witness = min_tset_missing(g, t, stop_at=n - t)
         if value <= n - t:
             return params.ParamReport(t, witness, delta, t - delta, t)
     raise AssertionError("unreachable: t = 1 always qualifies")
