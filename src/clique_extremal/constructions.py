@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import Graph
+from .graph import Graph, _square_rows
 
 __all__ = [
     "star_of_clique",
@@ -157,9 +157,9 @@ def _bulk_rows(n: int, p: float, rng: random.Random) -> list[int]:
     value); those take ``random()``'s own expression. Reversed, the digits
     are graph6's column order for the graph H with vertex v renamed
     n - 1 - v. Each column padded to n digits is a row of a square whose
-    row j and column j together hold H's row j, digit i for vertex i; read
-    as binary numbers, first digit highest, they give row n - 1 - j of the
-    graph itself with no OR per edge.
+    row j and column j together hold H's row j, digit i for vertex i:
+    ``graph._square_rows`` reads them as row n - 1 - j of the graph itself
+    with no OR per edge.
     """
     scaled = 256 * p
     ones = int(scaled)
@@ -183,4 +183,4 @@ def _bulk_rows(n: int, p: float, rng: random.Random) -> list[int]:
     for j in range(1, n):
         square[j * n : j * n + j] = digits[j * (j - 1) // 2 : j * (j + 1) // 2]
     del digits
-    return [int(square[j * n : (j + 1) * n], 2) | int(square[j::n], 2) for j in range(n - 1, -1, -1)]
+    return _square_rows(square, n)

@@ -10,8 +10,12 @@ graph6 is the standard ASCII encoding (6 bits per character, offset 63,
 N(n) size prefix, upper-triangle bits in column order). Reader and writer
 round-trip byte-exactly. The graph6 reader takes time and memory linear in n
 plus the size of the input, besides the n adjacency rows it builds. The
-edge-list reader allocates no n x n table, but each edge's OR copies its
-row, so a vertex with d edges costs d copies of a row of up to n bits.
+edge-list reader builds an n x n table of binary digits only when it is no
+larger than the text (n * n <= len(text)); then it ORs each edge into one
+row and the table's transpose adds it to the other. On sparser text it
+allocates no such table, but ORs each edge into both rows, and each OR
+copies its row, so a vertex with d edges costs d copies of a row of up to
+n bits.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from itertools import compress
 from operator import eq
 
 from .errors import FormatError
-from .graph import Graph
+from .graph import Graph, _square_rows
 from .limits import MAX_PARSE_N
 
 __all__ = [
@@ -99,7 +103,14 @@ def _edge_graph(text: str) -> Graph | None:
     """The graph of ``text`` in the form written, else None: a header ``n m`` with n <=
     MAX_PARSE_N, then m lines ``u v`` naming two distinct vertices in plain decimal, one
     space apart, each line ended by a newline. Scratch memory is O(n + len(text)), whatever
-    m is; the name table has at most 2m entries, and a vertex beyond it is refused."""
+    m is; the name table has at most 2m entries, and a vertex beyond it is refused.
+
+    Dense text, n * n <= len(text), ORs each line into one row only, ``rows[u] |= bit[v]``,
+    then reads the rows back through the n x n square of their binary digits
+    (``graph._square_rows``), which adds each edge to its other row. The square, held
+    twice while it is joined, is never larger than the text, and ``bit``, the n one-bit
+    masks, takes about n * n / 16 bytes. Sparse text ORs each line into both rows and
+    builds no square."""
     head = text.partition("\n")[0]
     # digit runs short enough for int()
     if not (text.isascii() and len(parts := head.split(" ")) == 2 and all(map(str.isdigit, parts)) and len(head) < 40):
@@ -108,7 +119,10 @@ def _edge_graph(text: str) -> Graph | None:
     shape = text.encode().translate(None, b"0123456789")  # b" \n" per line in the form written
     if n > MAX_PARSE_N or len(shape) != 2 * m + 2 or shape.count(b" \n") != m + 1:
         return None
+    del shape
     index = {str(v): v for v in range(min(n, 2 * m))}
+    dense = n * n <= len(text)
+    bit = [1 << v for v in range(n)] if dense else []
     rows = [0] * n
     for chunk in _chunks(text, len(head) + 1):
         # one split per chunk, not a tuple or list per line, which the
@@ -121,9 +135,15 @@ def _edge_graph(text: str) -> Graph | None:
         # each line holds one space, so 2 names per line means none is empty
         if len(ends) != 2 * chunk.count("\n") or any(map(eq, us, vs)):
             return None
-        for u, v in zip(us, vs):
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+        if dense:
+            for u, v in zip(us, vs):
+                rows[u] |= bit[v]
+        else:
+            for u, v in zip(us, vs):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    if dense:
+        return Graph(n, _square_rows("".join([format(r, f"0{n}b") for r in reversed(rows)]), n))
     return Graph(n, rows)
 
 
@@ -182,9 +202,11 @@ def write_graph6(g: Graph) -> str:
 
 
 def read_graph6(text: str) -> Graph:
-    """Linear in the body: column j of the bit string, padded to n, is row
-    j's low bits (least first); position j across the columns is its high
-    bits. Padding bits after the last pair are ignored."""
+    """Linear in the body: column j of the bit string (the pairs (i, j),
+    i < j, i ascending) reversed and padded on the left to n digits is row
+    j's low bits read as a binary number. Those columns, j = n - 1 down to
+    0, make the vertex-reversed square that ``graph._square_rows`` reads.
+    Padding bits after the last pair are ignored."""
     s = text.strip()
     if s.startswith(_GRAPH6_HEADER):
         s = s[len(_GRAPH6_HEADER):]
@@ -200,8 +222,8 @@ def read_graph6(text: str) -> Graph:
     digits = body.encode("ascii").translate(_GRAPH6_TO_BASE64)
     digits += b"A" * (-len(digits) % 4)
     bits = format(int.from_bytes(a2b_base64(digits), "big"), f"0{6 * len(digits)}b")
-    below = "".join(bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n))
-    return Graph(n, (int(below[j * n : (j + 1) * n][::-1], 2) | int(below[j::n][::-1], 2) for j in range(n)))
+    square = "".join(bits[j * (j - 1) // 2 : j * (j + 1) // 2][::-1].rjust(n, "0") for j in range(n - 1, -1, -1))
+    return Graph(n, _square_rows(square, n))
 
 
 # readers are called by name, not from a table, so that rebinding them works

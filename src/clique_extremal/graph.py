@@ -23,6 +23,16 @@ def vertex_mask(vertices: Iterable[int], n: int) -> int:
     return mask
 
 
+def _square_rows(square: str | bytes | bytearray, n: int) -> list[int]:
+    """The adjacency rows held by an n x n square of binary digits, row by
+    row, in vertex-reversed orientation: a 1 in square row n - 1 - u at
+    column n - 1 - v stands for the edge u-v. Row v is square row n - 1 - v
+    read as a binary number, first digit highest, ORed with square column
+    n - 1 - v read the same way, so an edge set in either of its two cells
+    lands in both rows. The diagonal must hold zeros."""
+    return [int(square[j * n : (j + 1) * n], 2) | int(square[j::n], 2) for j in range(n - 1, -1, -1)]
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, ascending."""
     while mask:

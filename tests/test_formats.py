@@ -17,8 +17,10 @@ from clique_extremal import (
     write_edge_list,
     write_graph6,
 )
+from clique_extremal import formats
 from clique_extremal.cli import main
 from clique_extremal.formats import _CHUNK, _decode_size, _encode_size
+from clique_extremal.graph import _square_rows
 from clique_extremal.limits import MAX_PARSE_N
 
 from conftest import complete_graph
@@ -247,6 +249,120 @@ def test_huge_edgeless_header_allocates_only_its_rows():
         tracemalloc.stop()
     assert (g.n, g.num_edges) == (MAX_PARSE_N, 0)
     assert peak < 64 * 2**20
+
+
+def _square_spy(monkeypatch):
+    """Counts the edge-list reader's calls of the square-to-rows helper: one
+    per text read on the dense route, none on the sparse one."""
+    calls = []
+
+    def spy(square, n):
+        calls.append(n)
+        return _square_rows(square, n)
+
+    monkeypatch.setattr(formats, "_square_rows", spy)
+    return calls
+
+
+def _edge_list_texts(g: Graph, rng: random.Random) -> list[str]:
+    """``g`` as written, with every line turned to ``v u``, and with every
+    line in both orientations plus some repeated, shuffled, m adjusted."""
+    written = write_edge_list(g)
+    pairs = [ln.split() for ln in written.splitlines()[1:]]
+    lines = [f"{u} {v}" for u, v in pairs] + [f"{v} {u}" for u, v in pairs]
+    lines += rng.sample(lines, len(lines) // 4)
+    rng.shuffle(lines)
+    return [
+        written,
+        "".join([f"{g.n} {len(pairs)}\n", *(f"{v} {u}\n" for u, v in pairs)]),
+        "".join([f"{g.n} {len(lines)}\n", *(f"{ln}\n" for ln in lines)]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, p, dense",
+    [(60, 0.5, True), (300, 0.5, True), (300, 0.03, False), (3000, 0.004, False)],
+    ids=["dense-60", "dense-300-across-chunks", "sparse-300", "sparse-3000-across-chunks"],
+)
+def test_edge_list_routes_match_the_reference(monkeypatch, n, p, dense):
+    # the dense route ORs each line into one row and reads the rows back
+    # through the square, so either orientation of an edge, or both, or a
+    # repeat, must give the same graph as two ORs per line
+    calls = _square_spy(monkeypatch)
+    rng = random.Random(n)
+    g = random_graph(n, p, n)
+    for text in _edge_list_texts(g, rng):
+        assert (n * n <= len(text)) == dense
+        want = _read_outcome(reference_read_edge_list, text)
+        assert want == ("graph", n, g.rows)
+        assert _read_outcome(read_edge_list, text) == want
+    assert calls == ([n] * 3 if dense else [])
+    if n == 3000:
+        assert len(text) > 2 * _CHUNK
+
+
+def _edge_list_of_length(n: int, length: int, rng: random.Random) -> str:
+    """Text in the form written, of exactly ``length`` characters, whose m
+    lines name random distinct vertices, repeats allowed; 14 < n <= 10,000."""
+    for digits in range(1, 8):
+        head = f"{n} {'0' * digits}\n"
+        lines = []
+        left = length - len(head)
+        while left > 24:
+            u, v = rng.sample(range(n), 2)
+            lines.append(f"{u} {v}\n")
+            left -= len(lines[-1])
+        # what is left, 15 to 24 characters while names have at most 4 digits,
+        # as k lines of 4 characters, r of them lengthened to 5
+        k, r = divmod(left, 4)
+        lines += ["3 14\n"] * r + ["1 2\n"] * (k - r)
+        if len(str(len(lines))) == digits:
+            text = "".join([f"{n} {len(lines)}\n", *lines])
+            assert len(text) == length
+            return text
+    raise AssertionError("no edge count fits")
+
+
+@pytest.mark.parametrize("n", [40, 41, 300])
+def test_edge_list_route_switches_where_the_square_reaches_the_text(monkeypatch, n):
+    calls = _square_spy(monkeypatch)
+    rng = random.Random(n)
+    # n * n just below, equal to and just above the length of the text
+    for length in (n * n + 1, n * n, n * n - 1):
+        text = _edge_list_of_length(n, length, rng)
+        want = _read_outcome(reference_read_edge_list, text)
+        assert want[0] == "graph"
+        assert _read_outcome(read_edge_list, text) == want
+    assert calls == [n, n]
+
+
+def test_edge_list_reads_the_smallest_graphs_on_the_dense_route(monkeypatch):
+    # no text of a header and newline is shorter than 1 = n * n, so n = 0
+    # and n = 1 always take the dense route
+    calls = _square_spy(monkeypatch)
+    for text, rows in (("0 0\n", ()), ("1 0\n", (0,)), ("2 1\n1 0\n", (2, 1))):
+        want = _read_outcome(reference_read_edge_list, text)
+        assert _read_outcome(read_edge_list, text) == want == ("graph", len(rows), rows)
+    assert calls == [0, 1, 2]
+    for text in ("1 1\n0 0\n", "1 1\n0 1\n", "0 1\n0 1\n"):
+        want = _read_outcome(reference_read_edge_list, text)
+        assert want[0] == "error"
+        assert _read_outcome(read_edge_list, text) == want
+
+
+def test_edge_list_peak_memory_where_the_square_reaches_the_text(monkeypatch):
+    # n * n = len(text): the largest square the dense route builds
+    n = 1000
+    calls = _square_spy(monkeypatch)
+    text = _edge_list_of_length(n, n * n, random.Random(1))
+    tracemalloc.start()
+    try:
+        read_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [n]
+    assert peak <= 3 * len(text)
 
 
 def test_edge_list_writer_matches_the_joined_reference():

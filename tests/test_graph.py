@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clique_extremal import Graph, immersion_tightness, matching_complement, random_graph, star_of_clique
-from clique_extremal.graph import induced_paths, reach, simple_paths, vertex_mask
+from clique_extremal.graph import _square_rows, induced_paths, reach, simple_paths, vertex_mask
 
 from conftest import complete_graph, cycle_graph
 
@@ -116,6 +116,34 @@ def test_missing_edges_within_mask_counts_pair_by_pair(n, p, seed, bits):
     inside = [v for v in range(n) if mask >> v & 1]
     pairs = sum(1 for i, u in enumerate(inside) for v in inside[i + 1 :] if not g.has_edge(u, v))
     assert g.missing_edges_within_mask(mask) == pairs
+
+
+@st.composite
+def one_sided_masks(draw):
+    """n rows of random bits, own bit cleared: an edge may sit in one of its
+    two rows, or in both."""
+    n = draw(st.integers(0, 70))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    return [mask & ~(1 << v) for v, mask in enumerate(masks)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_sided_masks(), st.sampled_from([str, bytes, bytearray]))
+def test_square_rows_symmetrise_one_sided_masks_bit_by_bit(masks, kind):
+    n = len(masks)
+    # cell (n - 1 - u, n - 1 - v) of the square holds bit v of mask u
+    cells = [["0"] * n for _ in range(n)]
+    want = [0] * n
+    for u in range(n):
+        for v in range(n):
+            if masks[u] >> v & 1:
+                cells[n - 1 - u][n - 1 - v] = "1"
+                want[u] |= 1 << v
+                want[v] |= 1 << u
+    square = "".join("".join(row) for row in cells)
+    assert square == "".join(format(mask, f"0{n}b") for mask in reversed(masks))
+    square = square if kind is str else kind(square.encode("ascii"))
+    assert _square_rows(square, n) == want
 
 
 def test_edges_iteration_sorted():
