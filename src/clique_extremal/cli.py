@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 verification failure or failed precondition,
 2 usage or input-format error, 3 size guard exceeded, 4 internal error.
+
+``main`` builds its parser once per process, on its first call, not at
+import, and looks each handler ``_cmd_<command>`` up by the command's name
+at call time, so a rebound handler runs. A caller that makes many calls in
+one process pays the argparse set-up once; a one-shot call pays it once, as
+it always did.
 """
 
 from __future__ import annotations
@@ -327,11 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     count = subs.add_parser("count", help="count cliques exactly")
     _add_graph_input(count, {"--method": {"choices": ("peeling", "oracle", "both"), "default": "both"}})
-    count.set_defaults(handler=_cmd_count)
 
     sigma = subs.add_parser("sigma", help="exact clique subdivision number")
     _add_graph_input(sigma, {})
-    sigma.set_defaults(handler=_cmd_sigma)
 
     params = subs.add_parser("params", help="t parameter, witness, and sigma sandwich")
     _add_graph_input(params, {"--t": {"type": int, "default": None}})
@@ -340,19 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="beyond the subset guard, report averaging certificates instead of exact values",
     )
-    params.set_defaults(handler=_cmd_params)
 
     embed = subs.add_parser("embed", help="construct an embedding certificate")
     _add_graph_input(embed)
     embed.add_argument("--lemma", choices=("immersion", "subdivision"), required=True)
     embed.add_argument("--terminals", required=True, help="comma-separated vertex list")
-    embed.set_defaults(handler=_cmd_embed)
 
     verify = subs.add_parser("verify", help="check a certificate against a graph")
     _add_graph_input(verify)
     verify.add_argument("--certificate", required=True)
     verify.add_argument("--mode", choices=("weak", "strong", "subdivision"), default=None)
-    verify.set_defaults(handler=_cmd_verify)
 
     construct = subs.add_parser("construct", help="emit a generator graph")
     construct.add_argument("--family", choices=tuple(_FAMILIES), required=True)
@@ -361,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     construct.add_argument("--p", type=float, default=None)
     construct.add_argument("--seed", type=int, default=None, help="random family only; 0 when absent")
     construct.add_argument("--output-format", choices=_FORMATS, default="edgelist", dest="output_format")
-    construct.set_defaults(handler=_cmd_construct)
 
     bounds = subs.add_parser("bounds", help="bound evaluators and constants")
     bounds.add_argument("--mode", choices=tuple(_MODES), required=True)
@@ -372,12 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bounds.add_argument("--c", type=float, default=None)
     bounds.add_argument("--d", type=int, default=None)
-    bounds.set_defaults(handler=_cmd_bounds)
 
     paper = subs.add_parser("verify-paper", help="run the full verification suite")
     paper.add_argument("--seed", type=int, default=0)
     paper.add_argument("--quick", action="store_true")
-    paper.set_defaults(handler=_cmd_verify_paper)
 
     # construct and embed print a graph or a certificate, and read no --json
     for sub in (count, sigma, params, verify, bounds, paper):
@@ -386,12 +384,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first call of main; parse_args leaves it as it was
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # handlers are called by name, not stored in the parser, so that rebinding them works
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         graph = (load_graph(args.input, args.format),) if "input" in args else ()
-        return args.handler(args, *graph)
+        return handler(args, *graph)
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

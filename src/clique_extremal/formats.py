@@ -110,7 +110,11 @@ def _edge_graph(text: str) -> Graph | None:
     (``graph._square_rows``), which adds each edge to its other row. The square, held
     twice while it is joined, is never larger than the text, and ``bit``, the n one-bit
     masks, takes about n * n / 16 bytes. Sparse text ORs each line into both rows and
-    builds no square."""
+    builds no square.
+
+    A self-loop ``v v`` returns None, so the per-line reader names it. The sparse route
+    compares the two ends of each line; the dense route, where a loop sets a 1 on the
+    square's diagonal, reads that diagonal once, after the join and before the rows."""
     head = text.partition("\n")[0]
     # digit runs short enough for int()
     if not (text.isascii() and len(parts := head.split(" ")) == 2 and all(map(str.isdigit, parts)) and len(head) < 40):
@@ -131,19 +135,25 @@ def _edge_graph(text: str) -> Graph | None:
             ends = list(map(index.__getitem__, chunk.split()))
         except KeyError:
             return None
-        us, vs = ends[0::2], ends[1::2]
         # each line holds one space, so 2 names per line means none is empty
-        if len(ends) != 2 * chunk.count("\n") or any(map(eq, us, vs)):
+        if len(ends) != 2 * chunk.count("\n"):
             return None
         if dense:
-            for u, v in zip(us, vs):
+            pairs = iter(ends)
+            for u, v in zip(pairs, pairs):
                 rows[u] |= bit[v]
         else:
+            us, vs = ends[0::2], ends[1::2]
+            if any(map(eq, us, vs)):
+                return None
             for u, v in zip(us, vs):
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
     if dense:
-        return Graph(n, _square_rows("".join([format(r, f"0{n}b") for r in reversed(rows)]), n))
+        square = "".join([format(r, f"0{n}b") for r in reversed(rows)])
+        if "1" in square[:: n + 1]:
+            return None
+        return Graph(n, _square_rows(square, n))
     return Graph(n, rows)
 
 

@@ -640,3 +640,67 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, a usage error's SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch, mc8_path):
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    for argv in (
+        ("count", "--input", mc8_path, "--format", "graph6", "--json"),
+        ("params", "--input", mc8_path, "--format", "graph6", "--json"),
+        ("bounds", "--mode", "coarse", "--json"),
+        ("construct", "--family", "matching", "--n", "6"),
+        ("verify-paper", "--quick", "--json"),
+    ):
+        code, out, _ = _outcome(capsys, argv)
+        assert code == 0 and out
+    assert builds == [1]
+
+
+def test_the_cached_parser_answers_as_a_fresh_one_after_a_usage_error(capsys, monkeypatch, mc8_path):
+    calls = [
+        ("verify-paper", "--quick", "--threads", "2"),
+        ("construct", "--family", "matching", "--n", "6"),
+        ("sigma", "--input", mc8_path, "--format", "graph6", "--limit-n", "-1"),
+        ("count", "--input", mc8_path, "--format", "graph6", "--json"),
+        ("bounds", "--mode", "boundt", "--params", "6,3,2", "--json"),
+        ("construct", "--family", "star", "--n", "10", "--t", "3", "--p", "0.4"),
+        ("count", "--help"),
+        ("sigma", "--input", mc8_path, "--format", "graph6", "--json"),
+    ]
+    monkeypatch.setattr(cli, "_parser", None)
+    cached = [_outcome(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_outcome(capsys, argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 0, 2, 0, 0, 2, 0, 0]
+
+
+def test_a_handler_rebound_after_the_first_call_still_runs(capsys, monkeypatch):
+    def broken(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run(capsys, "construct", "--family", "matching", "--n", "2")[0] == 0
+    parser = cli._parser
+    assert parser is not None
+    monkeypatch.setattr(cli, "_cmd_bounds", broken)
+    code, out, err = run(capsys, "bounds", "--mode", "coarse")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
+    assert cli._parser is parser

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import accumulate
 
 import networkx as nx
 import pytest
@@ -348,6 +349,26 @@ def test_edge_list_reads_the_smallest_graphs_on_the_dense_route(monkeypatch):
         want = _read_outcome(reference_read_edge_list, text)
         assert want[0] == "error"
         assert _read_outcome(read_edge_list, text) == want
+
+
+def test_a_self_loop_on_the_dense_route_gives_the_per_line_error(monkeypatch):
+    # the dense route finds a line 'v v' on the square's diagonal, before the
+    # rows are built, so of these texts only the clean one reaches the square
+    calls = _square_spy(monkeypatch)
+    n = 300
+    written = write_edge_list(random_graph(n, 0.5, n))
+    lines = written.splitlines(keepends=True)
+    starts = list(accumulate(map(len, lines), initial=0))
+    late = next(i for i, start in enumerate(starts) if start > _CHUNK + 64)
+    assert _read_outcome(read_edge_list, written)[0] == "graph"
+    # vertex 0 ends the diagonal and vertex n - 1 starts it
+    for i, v in ((5, 0), (late, n - 1)):
+        text = "".join([*lines[:i], f"{v} {v}\n", *lines[i + 1 :]])
+        assert n * n <= len(text)
+        want = _read_outcome(reference_read_edge_list, text)
+        assert want == ("error", f"self-loop ({v}, {v}) not allowed")
+        assert _read_outcome(read_edge_list, text) == want
+    assert calls == [n]
 
 
 def test_edge_list_peak_memory_where_the_square_reaches_the_text(monkeypatch):
